@@ -28,14 +28,14 @@ def _die(msg: str) -> int:
     return EXIT_ERROR
 
 
-def _load(path: str):
+def _load(path: str, names: NameTable | None = None):
     try:
         with open(path, encoding="utf-8") as fh:
             src = fh.read()
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror or exc}")
     try:
-        return parse(src)
+        return parse(src, names)
     except ParseError as exc:
         raise CliError(f"{path}:{exc}")
 
@@ -91,7 +91,7 @@ def _state_dict(state: State, names: NameTable) -> dict:
     return dict(sorted(out.items()))
 
 
-def _print_event(ev, names: NameTable, as_json: bool):
+def _event_line(ev, names: NameTable, as_json: bool) -> str:
     tag = ev[0]
     if as_json:
         obj = {"tag": tag}
@@ -99,16 +99,12 @@ def _print_event(ev, names: NameTable, as_json: bool):
             obj["value"] = ev[1]
         elif tag == "ret":
             obj["state"] = _state_dict(ev[1], names)
-        print(json.dumps(obj), flush=True)
-        return
-    if tag == "in":
-        print(f"in {ev[1]}", flush=True)
-    elif tag == "out":
-        print(f"out {ev[1]}", flush=True)
-    elif tag == "ret":
-        print(f"ret {_render_state(ev[1], names)}", flush=True)
-    else:
-        print(tag, flush=True)
+        return json.dumps(obj)
+    if tag == "in" or tag == "out":
+        return f"{tag} {ev[1]}"
+    if tag == "ret":
+        return f"ret {_render_state(ev[1], names)}"
+    return tag
 
 
 _EVENT_EXIT = {
@@ -169,16 +165,12 @@ def _run_states(stmt, names, init, args) -> int:
     for ev in _iter_trace(_trace_for(stmt, init, args.mode), args.fuel):
         if ev[0] == "state":
             if args.json:
-                print(json.dumps({"tag": "state", "state": _state_dict(ev[1], names)}),
-                      flush=True)
+                print(json.dumps({"tag": "state", "state": _state_dict(ev[1], names)}))
             else:
-                print(_render_state(ev[1], names), flush=True)
+                print(_render_state(ev[1], names))
         else:
             status = ev[0]
-            if args.json:
-                print(json.dumps({"tag": status}), flush=True)
-            else:
-                print(status, flush=True)
+            print(json.dumps({"tag": status}) if args.json else status)
     return EXIT_OK if status == "ended" else EXIT_TRUNCATED
 
 
@@ -202,29 +194,34 @@ def _input_source(args):
 def _run_events(stmt, names, init, args) -> int:
     last = "truncated"
     # the head is not kept: memoized tails would otherwise retain the prefix
+    # output is block-buffered, except when a person is typing the inputs
     for ev in resumption.drive(_res_for(stmt, init, args.mode),
                                _input_source(args), args.fuel):
-        _print_event(ev, names, args.json)
+        print(_event_line(ev, names, args.json), flush=args.interactive)
         last = ev[0]
     return _EVENT_EXIT.get(last, EXIT_OK)
 
 
 def _run_summary(stmt, names, init, args) -> int:
+    # observations are counted as they stream, so memory stays flat in fuel
     if is_pure(stmt):
-        prefix = trace.take(_trace_for(stmt, init, args.mode), args.fuel)
-        final = prefix.states[-1]
-        line = f"status={prefix.status} steps={len(prefix.states)}"
-        if prefix.ended:
+        steps = 0
+        for ev in _iter_trace(_trace_for(stmt, init, args.mode), args.fuel):
+            if ev[0] == "state":
+                steps += 1
+                final = ev[1]
+            else:
+                status = ev[0]
+        line = f"status={status} steps={steps}"
+        if status == "ended":
             line += f" state={_render_state(final, names)}"
         print(line)
-        return EXIT_OK if prefix.ended else EXIT_TRUNCATED
-    events = list(resumption.drive(_res_for(stmt, init, args.mode),
-                                   _input_source(args), args.fuel))
-    last = events[-1]
+        return EXIT_OK if status == "ended" else EXIT_TRUNCATED
     counts = {"in": 0, "out": 0, "delay": 0}
-    for ev in events:
-        if ev[0] in counts:
-            counts[ev[0]] += 1
+    for last in resumption.drive(_res_for(stmt, init, args.mode),
+                                 _input_source(args), args.fuel):
+        if last[0] in counts:
+            counts[last[0]] += 1
     status = {"ret": "ret"}.get(last[0], last[0])
     line = (f"status={status} in={counts['in']} out={counts['out']}"
             f" delay={counts['delay']}")
@@ -285,8 +282,9 @@ def _render_path(path) -> str:
 
 
 def _cmd_bisim(args) -> int:
-    stmt_a, names_a = _load(args.file_a)
-    stmt_b, names_b = _load(args.file_b)
+    # one name table for both, so that states compare by variable name
+    stmt_a, names = _load(args.file_a)
+    stmt_b, _ = _load(args.file_b, names)
     cfg = checks.BisimConfig(
         delay_budget=args.delay_budget,
         depth_budget=args.depth_budget,

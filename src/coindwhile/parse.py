@@ -156,10 +156,10 @@ def tokenize(src: str) -> list[Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[Token], names: NameTable):
         self.tokens = tokens
         self.pos = 0
-        self.names = NameTable()
+        self.names = names
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -296,13 +296,20 @@ class _Parser:
             a = Mul(a, self.factor())
         return a
 
+    def number(self, tok: Token) -> int:
+        try:
+            return int(tok.text)
+        except ValueError:  # longer than the interpreter's int conversion limit
+            raise ParseError(tok.line, tok.col, ["a shorter number"],
+                             f"a {len(tok.text)}-digit number") from None
+
     def factor(self) -> AExp:
         tok = self.peek()
         if self.accept("num"):
-            return NumLit(wrap(int(tok.text)))
+            return NumLit(wrap(self.number(tok)))
         if self.accept("-"):
             num = self.expect("num", "a number")
-            return NumLit(wrap(-int(num.text)))
+            return NumLit(wrap(-self.number(num)))
         if tok.kind == "ident":
             self.pos += 1
             return VarRef(self.names.intern(tok.text))
@@ -313,9 +320,13 @@ class _Parser:
         self.fail(["an arithmetic expression"])
 
 
-def parse(src: str) -> tuple[Stmt, NameTable]:
-    """Parse a source program; raises ParseError on any violation."""
-    p = _Parser(tokenize(src))
+def parse(src: str, names: NameTable | None = None) -> tuple[Stmt, NameTable]:
+    """Parse a source program; raises ParseError on any violation.
+
+    Variables are interned into names, a fresh table unless one is given;
+    programs parsed into one table number their variables alike.
+    """
+    p = _Parser(tokenize(src), NameTable() if names is None else names)
     stmt = p.stmt()
     p.expect("eof", "end of input")
     return stmt, p.names

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
 from .syntax import (
+    SKIP,
     Assign,
     If,
     Input,
@@ -29,10 +30,12 @@ from .syntax import (
     State,
     Stmt,
     Val,
-    Var,
     While,
     aexp,
     bexp,
+    compile_aexp,
+    compile_stmt,
+    unspine,
 )
 
 
@@ -46,10 +49,11 @@ class Res:
         self._obs = None
 
     def step(self) -> tuple:
-        if self._obs is None:
-            self._obs = self._force()
+        obs = self._obs
+        if obs is None:
+            obs = self._obs = self._force()
             self._force = None
-        return self._obs
+        return obs
 
     @staticmethod
     def _of(obs: tuple) -> "Res":
@@ -129,32 +133,28 @@ def eval_res(stmt: Stmt, s: State) -> Res:
 
     Same delay placement as the pure trace semantics: skip is silent,
     assignment and guard tests each delay once; input/output statements
-    perform their action and terminate.
+    perform their action and terminate. Compiled once into CPS code, like
+    ``eval_trace``; this is the denotation of seque_res and loop_res below.
     """
-    match stmt:
-        case Skip():
-            return Res.ret(s)
-        case Seq(first=a, second=b):
-            return seque_res(lambda s1: eval_res(b, s1), eval_res(a, s))
-        case Assign(var=x, expr=a):
-            return Res.delay(Res.ret(s.upd(x, aexp(a, s))))
-        case If(cond=c, then=a, orelse=b):
-            return Res.delay(eval_res(a if bexp(c, s) else b, s))
-        case While(cond=c, body=a):
-            if bexp(c, s):
-                return Res.delay(
-                    Res.suspend(
-                        lambda: loop_res(
-                            lambda s1: eval_res(a, s1), lambda s1: bexp(c, s1), s
-                        )
-                    )
-                )
-            return Res.delay(Res.ret(s))
-        case Input(var=x):
-            return Res.inp(lambda v: Res.ret(s.upd(x, v)))
-        case Output(expr=a):
-            return Res.out(aexp(a, s), Res.ret(s))
-    raise TypeError(f"not a statement: {stmt!r}")
+    code = compile_stmt(stmt, _delay, _io)
+    return Res(lambda: code(s, _ret))
+
+
+def _delay(s: State, rest: Callable[[], tuple]) -> tuple:
+    return ("delay", Res(rest))
+
+
+def _ret(s: State) -> tuple:
+    return ("ret", s)
+
+
+def _io(stmt: Stmt):
+    if type(stmt) is Input:
+        x = stmt.var
+        # f may be called any number of times: checkers probe and replay it
+        return lambda s, k: ("in", lambda v: Res(lambda: k(s.upd(x, v))))
+    e = compile_aexp(stmt.expr)
+    return lambda s, k: ("out", e(s), Res(lambda: k(s)))
 
 
 def seque_res(k: Callable[[State], Res], r: Res) -> Res:
@@ -246,34 +246,36 @@ Lconf = LRet | LIn | LOut | LDelay
 
 
 def red_res(stmt: Stmt, s: State) -> Lconf:
-    """One labeled small step of While with I/O."""
-    match stmt:
-        case Skip():
-            return LRet(s)
-        case Assign(var=x, expr=a):
-            return LDelay(Skip(), s.upd(x, aexp(a, s)))
-        case Seq(first=a, second=b):
-            c = red_res(a, s)
-            match c:
-                case LRet(state=s1):
-                    return red_res(b, s1)
-                case LIn(stmt=a1, update=f):
-                    return LIn(Seq(a1, b), f)
-                case LOut(value=v, stmt=a1, state=s1):
-                    return LOut(v, Seq(a1, b), s1)
-                case LDelay(stmt=a1, state=s1):
-                    return LDelay(Seq(a1, b), s1)
-        case If(cond=c, then=a, orelse=b):
-            return LDelay(a if bexp(c, s) else b, s)
-        case While(cond=c, body=a):
-            if bexp(c, s):
-                return LDelay(Seq(a, stmt), s)
-            return LDelay(Skip(), s)
-        case Input(var=x):
-            return LIn(Skip(), lambda v: s.upd(x, v))
-        case Output(expr=a):
-            return LOut(aexp(a, s), Skip(), s)
-    raise TypeError(f"not a statement: {stmt!r}")
+    """One labeled small step of While with I/O.
+
+    Walks the left spine of nested Seqs with a loop, takes the first step,
+    and rebuilds the spine around the residual statement.
+    """
+    spine = []
+    while True:
+        t = type(stmt)
+        if t is Seq:
+            spine.append(stmt.second)
+            stmt = stmt.first
+        elif t is Skip:
+            if not spine:
+                return LRet(s)
+            stmt = spine.pop()
+        elif t is Assign:
+            return LDelay(unspine(SKIP, spine), s.upd(stmt.var, aexp(stmt.expr, s)))
+        elif t is If:
+            branch = stmt.then if bexp(stmt.cond, s) else stmt.orelse
+            return LDelay(unspine(branch, spine), s)
+        elif t is While:
+            again = Seq(stmt.body, stmt) if bexp(stmt.cond, s) else SKIP
+            return LDelay(unspine(again, spine), s)
+        elif t is Input:
+            x = stmt.var
+            return LIn(unspine(SKIP, spine), lambda v: s.upd(x, v))
+        elif t is Output:
+            return LOut(aexp(stmt.expr, s), unspine(SKIP, spine), s)
+        else:
+            raise TypeError(f"not a statement: {stmt!r}")
 
 
 def norm_res(stmt: Stmt, s: State) -> Res:
@@ -281,18 +283,17 @@ def norm_res(stmt: Stmt, s: State) -> Res:
 
     def force():
         c = red_res(stmt, s)
-        match c:
-            case LRet(state=s1):
-                return Res.ret(s1)
-            case LIn(stmt=stmt1, update=f):
-                return Res.inp(lambda v: norm_res(stmt1, f(v)))
-            case LOut(value=v, stmt=stmt1, state=s1):
-                return Res.out(v, norm_res(stmt1, s1))
-            case LDelay(stmt=stmt1, state=s1):
-                return Res.delay(norm_res(stmt1, s1))
-        raise TypeError(repr(c))
+        t = type(c)
+        if t is LDelay:
+            return ("delay", norm_res(c.stmt, c.state))
+        if t is LOut:
+            return ("out", c.value, norm_res(c.stmt, c.state))
+        if t is LIn:
+            stmt1, f = c.stmt, c.update
+            return ("in", lambda v: norm_res(stmt1, f(v)))
+        return ("ret", c.state)
 
-    return Res.suspend(force)
+    return Res(force)
 
 
 # ---------------------------------------------------------------------------

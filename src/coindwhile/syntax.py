@@ -192,13 +192,15 @@ class State:
         return self._bindings.get(x, State.default)
 
     def upd(self, x: Var, v: Val) -> "State":
-        v = wrap(v)
-        b = dict(self._bindings)
+        v = (v + _HALF) % _MOD - _HALF
+        b = self._bindings.copy()
         if v == State.default:
             b.pop(x, None)
         else:
             b[x] = v
-        return State._raw(b)
+        s = State.__new__(State)
+        s._bindings = b
+        return s
 
     def items(self):
         """Bindings as a tuple sorted by variable index (canonical order)."""
@@ -230,37 +232,160 @@ def upd(x: Var, v: Val, s: State) -> State:
 
 
 def aexp(a: AExp, s: State) -> Val:
-    match a:
-        case NumLit(value=z):
-            return wrap(z)
-        case VarRef(var=x):
-            return s.lkp(x)
-        case Add(left=l, right=r):
-            return wrap(aexp(l, s) + aexp(r, s))
-        case Sub(left=l, right=r):
-            return wrap(aexp(l, s) - aexp(r, s))
-        case Mul(left=l, right=r):
-            return wrap(aexp(l, s) * aexp(r, s))
+    t = type(a)
+    if t is VarRef:
+        return s._bindings.get(a.var, State.default)
+    if t is NumLit:
+        return (a.value + _HALF) % _MOD - _HALF
+    if t is Add:
+        return (aexp(a.left, s) + aexp(a.right, s) + _HALF) % _MOD - _HALF
+    if t is Sub:
+        return (aexp(a.left, s) - aexp(a.right, s) + _HALF) % _MOD - _HALF
+    if t is Mul:
+        return (aexp(a.left, s) * aexp(a.right, s) + _HALF) % _MOD - _HALF
     raise TypeError(f"not an arithmetic expression: {a!r}")
 
 
 def bexp(b: BExp, s: State) -> bool:
-    match b:
-        case TrueLit():
-            return True
-        case FalseLit():
-            return False
-        case Eq(left=l, right=r):
-            return aexp(l, s) == aexp(r, s)
-        case Le(left=l, right=r):
-            return aexp(l, s) <= aexp(r, s)
-        case Not(operand=x):
-            return not bexp(x, s)
-        case And(left=l, right=r):
-            return bexp(l, s) and bexp(r, s)
-        case Or(left=l, right=r):
-            return bexp(l, s) or bexp(r, s)
+    t = type(b)
+    if t is Le:
+        return aexp(b.left, s) <= aexp(b.right, s)
+    if t is Eq:
+        return aexp(b.left, s) == aexp(b.right, s)
+    if t is TrueLit:
+        return True
+    if t is FalseLit:
+        return False
+    if t is Not:
+        return not bexp(b.operand, s)
+    if t is And:
+        return bexp(b.left, s) and bexp(b.right, s)
+    if t is Or:
+        return bexp(b.left, s) or bexp(b.right, s)
     raise TypeError(f"not a boolean expression: {b!r}")
+
+
+# ---------------------------------------------------------------------------
+# compilation to closures
+#
+# Each expression is compiled once into a closure State -> value, so that
+# evaluating it does no dispatch on syntax; the results equal aexp/bexp.
+
+
+def compile_aexp(a: AExp) -> Callable[[State], Val]:
+    t = type(a)
+    if t is VarRef:
+        x = a.var
+        return lambda s: s._bindings.get(x, State.default)
+    if t is NumLit:
+        v = wrap(a.value)
+        return lambda s: v
+    if t is Add or t is Sub or t is Mul:
+        l, r = compile_aexp(a.left), compile_aexp(a.right)
+        if t is Add:
+            return lambda s: (l(s) + r(s) + _HALF) % _MOD - _HALF
+        if t is Sub:
+            return lambda s: (l(s) - r(s) + _HALF) % _MOD - _HALF
+        return lambda s: (l(s) * r(s) + _HALF) % _MOD - _HALF
+    raise TypeError(f"not an arithmetic expression: {a!r}")
+
+
+def compile_bexp(b: BExp) -> Callable[[State], bool]:
+    t = type(b)
+    if t is TrueLit:
+        return lambda s: True
+    if t is FalseLit:
+        return lambda s: False
+    if t is Eq or t is Le:
+        l, r = compile_aexp(b.left), compile_aexp(b.right)
+        if t is Eq:
+            return lambda s: l(s) == r(s)
+        return lambda s: l(s) <= r(s)
+    if t is Not:
+        x = compile_bexp(b.operand)
+        return lambda s: not x(s)
+    if t is And or t is Or:
+        l, r = compile_bexp(b.left), compile_bexp(b.right)
+        if t is And:
+            return lambda s: l(s) and r(s)
+        return lambda s: l(s) or r(s)
+    raise TypeError(f"not a boolean expression: {b!r}")
+
+
+# Code: the compiled form of a statement, in continuation-passing style.
+# code(s, k) returns the first observation of running the statement from s
+# and then continuing with k, which maps the final state to the observation
+# that follows. The interpreters supply the observation format:
+# delay(s, rest) builds a silent step at state s whose memo cell forces
+# rest(), and other(stmt) compiles the statements this module does not
+# (input and output), or rejects them.
+Code = Callable[[State, Callable], object]
+
+
+def compile_stmt(
+    stmt: Stmt,
+    delay: Callable[[State, Callable], object],
+    other: Callable[[Stmt], Code],
+) -> Code:
+    """Compile stmt once into CPS code.
+
+    Skip calls k at once; assignment, if and each guard test emit one delay.
+    Sequences are flattened (sequencing is associative and skip is its
+    identity), and a loop's body continues with the loop's own guard test,
+    so the calls between two observations are bounded by the syntax of one
+    statement, not by the depth of the Seq tree or of the loop nest.
+    """
+    t = type(stmt)
+    if t is Seq or t is Skip:
+        parts = []
+        todo = [stmt]
+        while todo:
+            st = todo.pop()
+            if type(st) is Seq:
+                todo.append(st.second)
+                todo.append(st.first)
+            elif type(st) is not Skip:
+                parts.append(compile_stmt(st, delay, other))
+        if not parts:
+            return lambda s, k: k(s)
+        code = parts.pop()
+        while parts:
+            code = _then(parts.pop(), code)
+        return code
+    if t is Assign:
+        x, e = stmt.var, compile_aexp(stmt.expr)
+        return lambda s, k: delay(s, lambda: k(s.upd(x, e(s))))
+    if t is If:
+        c = compile_bexp(stmt.cond)
+        a = compile_stmt(stmt.then, delay, other)
+        b = compile_stmt(stmt.orelse, delay, other)
+        return lambda s, k: delay(s, lambda: a(s, k) if c(s) else b(s, k))
+    if t is While:
+        c = compile_bexp(stmt.cond)
+        body = compile_stmt(stmt.body, delay, other)
+
+        def code(s, k):
+            def loop(s):
+                return delay(s, lambda: body(s, loop) if c(s) else k(s))
+
+            return loop(s)
+
+        return code
+    if t is Input or t is Output:
+        return other(stmt)
+    raise TypeError(f"not a statement: {stmt!r}")
+
+
+def _then(a: Code, b: Code) -> Code:
+    return lambda s, k: a(s, lambda s1: b(s1, k))
+
+
+def unspine(stmt: Stmt, spine: list) -> Stmt:
+    """Rebuild a left Seq spine around stmt; spine lists the second
+    components from the outermost to the innermost, and is emptied."""
+    while spine:
+        stmt = Seq(stmt, spine.pop())
+    return stmt
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +394,19 @@ def bexp(b: BExp, s: State) -> bool:
 
 def is_pure(stmt: Stmt) -> bool:
     """True iff stmt contains no input/output statement."""
-    match stmt:
-        case Seq(first=a, second=b):
-            return is_pure(a) and is_pure(b)
-        case If(then=a, orelse=b):
-            return is_pure(a) and is_pure(b)
-        case While(body=a):
-            return is_pure(a)
-        case Input() | Output():
+    todo = [stmt]
+    while todo:
+        st = todo.pop()
+        t = type(st)
+        if t is Seq:
+            todo.append(st.first)
+            todo.append(st.second)
+        elif t is If:
+            todo.append(st.then)
+            todo.append(st.orelse)
+        elif t is While:
+            todo.append(st.body)
+        elif t is Input or t is Output:
             return False
     return True
 

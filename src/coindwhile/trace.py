@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .syntax import (
+    SKIP,
     Assign,
     If,
     Input,
@@ -25,7 +26,9 @@ from .syntax import (
     While,
     aexp,
     bexp,
+    compile_stmt,
     is_pure,
+    unspine,
 )
 
 
@@ -46,10 +49,11 @@ class Trace:
         self._obs = None
 
     def step(self) -> Observation:
-        if self._obs is None:
-            self._obs = self._force()
+        obs = self._obs
+        if obs is None:
+            obs = self._obs = self._force()
             self._force = None
-        return self._obs
+        return obs
 
     @staticmethod
     def nil(s: State) -> "Trace":
@@ -113,37 +117,27 @@ def eval_trace(stmt: Stmt, s: State) -> Trace:
     """Big-step trace semantics of pure While.
 
     Skip is silent; assignment and every guard test contribute one delay.
-    Total: diverging programs yield infinite traces.
+    Total: diverging programs yield infinite traces. The statement is
+    compiled once into CPS code (``compile_stmt``) whose continuation is
+    the rest of the trace; this is the denotation of seque and loop below,
+    unfolded by associativity of sequencing.
     """
-    if not is_pure(stmt):
-        raise ImpureProgramError(
-            "trace semantics is for pure While; program performs input/output"
-        )
-    return _eval(stmt, s)
+    code = compile_stmt(stmt, _delay, _impure)
+    return Trace(lambda: code(s, _nil))
 
 
-def _eval(stmt: Stmt, s: State) -> Trace:
-    match stmt:
-        case Skip():
-            return Trace.nil(s)
-        case Seq(first=a, second=b):
-            return seque(lambda s1: _eval(b, s1), _eval(a, s))
-        case Assign(var=x, expr=a):
-            return Trace.delay(s, Trace.nil(s.upd(x, aexp(a, s))))
-        case If(cond=c, then=a, orelse=b):
-            return Trace.delay(s, _eval(a if bexp(c, s) else b, s))
-        case While(cond=c, body=a):
-            if bexp(c, s):
-                return Trace.delay(
-                    s,
-                    Trace.suspend(
-                        lambda: loop(lambda s1: _eval(a, s1), lambda s1: bexp(c, s1), s)
-                    ),
-                )
-            return Trace.delay(s, Trace.nil(s))
-        case Input() | Output():
-            raise ImpureProgramError(f"input/output statement in pure context: {stmt!r}")
-    raise TypeError(f"not a statement: {stmt!r}")
+def _delay(s: State, rest: Callable[[], Observation]) -> Observation:
+    return (s, Trace(rest))
+
+
+def _nil(s: State) -> Observation:
+    return (s, None)
+
+
+def _impure(stmt: Stmt):
+    raise ImpureProgramError(
+        "trace semantics is for pure While; program performs input/output"
+    )
 
 
 def seque(k: Callable[[State], Trace], t: Trace) -> Trace:
@@ -185,35 +179,39 @@ def loopseq(k: Callable[[State], Trace], p: Callable[[State], bool], t: Trace) -
 
 
 def red(stmt: Stmt, s: State) -> Optional[tuple[Stmt, State]]:
-    """One-step reduction; None means the statement is terminal."""
-    match stmt:
-        case Skip():
-            return None
-        case Assign(var=x, expr=a):
-            return (Skip(), s.upd(x, aexp(a, s)))
-        case Seq(first=a, second=b):
-            r = red(a, s)
-            if r is None:
-                return red(b, s)
-            a1, s1 = r
-            return (Seq(a1, b), s1)
-        case If(cond=c, then=a, orelse=b):
-            return (a if bexp(c, s) else b, s)
-        case While(cond=c, body=a):
-            if bexp(c, s):
-                return (Seq(a, stmt), s)
-            return (Skip(), s)
-        case Input() | Output():
+    """One-step reduction; None means the statement is terminal.
+
+    Walks the left spine of nested Seqs with a loop, reduces the first
+    redex, and rebuilds the spine around the result.
+    """
+    spine = []
+    while True:
+        t = type(stmt)
+        if t is Seq:
+            spine.append(stmt.second)
+            stmt = stmt.first
+        elif t is Skip:
+            if not spine:
+                return None
+            stmt = spine.pop()
+        elif t is Assign:
+            return (unspine(SKIP, spine), s.upd(stmt.var, aexp(stmt.expr, s)))
+        elif t is If:
+            branch = stmt.then if bexp(stmt.cond, s) else stmt.orelse
+            return (unspine(branch, spine), s)
+        elif t is While:
+            again = Seq(stmt.body, stmt) if bexp(stmt.cond, s) else SKIP
+            return (unspine(again, spine), s)
+        elif t is Input or t is Output:
             raise ImpureProgramError(f"input/output statement in pure context: {stmt!r}")
-    raise TypeError(f"not a statement: {stmt!r}")
+        else:
+            raise TypeError(f"not a statement: {stmt!r}")
 
 
 def norm(stmt: Stmt, s: State) -> Trace:
     """Small-step trace semantics: repeatedly apply red, one delay per step."""
     if not is_pure(stmt):
-        raise ImpureProgramError(
-            "trace semantics is for pure While; program performs input/output"
-        )
+        _impure(stmt)
     return _norm(stmt, s)
 
 
@@ -221,8 +219,7 @@ def _norm(stmt: Stmt, s: State) -> Trace:
     def force():
         r = red(stmt, s)
         if r is None:
-            return Trace.nil(s)
-        stmt1, s1 = r
-        return Trace.delay(s, _norm(stmt1, s1))
+            return (s, None)
+        return (s, _norm(*r))
 
-    return Trace.suspend(force)
+    return Trace(force)

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -80,6 +81,21 @@ class TestRun:
         assert status == 0
         assert lines == ["status=ret in=2 out=1 delay=2 state={x=5}"]
 
+    @pytest.mark.parametrize("src", ["while tt do x := x + 1 od",
+                                     "while tt do output 1 od"])
+    def test_summary_memory_is_flat_in_fuel(self, capsys, tmp_path, src):
+        prog = tmp_path / "grow.whl"
+        prog.write_text(src + "\n")
+        tracemalloc.start()
+        try:
+            status = main(["run", str(prog), "--emit", "summary", "--fuel", "50000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 2
+        assert capsys.readouterr().out.startswith("status=truncated")
+        assert peak < 1_000_000, f"peak {peak} bytes"
+
     def test_states_emit_rejected_for_io_program(self, capsys):
         status, _ = run_cli(capsys, "run", ECHO, "--emit", "states")
         assert status == 1
@@ -131,6 +147,19 @@ class TestBisim:
         status, lines = run_cli(capsys, "bisim", EMIT, str(other))
         assert status == 4
         assert lines[0].startswith("distinguished:")
+
+    @pytest.mark.parametrize(
+        "src_a, src_b, status",
+        [
+            ("x := 1 ; y := 2", "y := 2 ; x := 1", 0),
+            ("y := 2 ; x := 1", "x := 2 ; y := 1", 4),
+        ],
+    )
+    def test_states_compare_by_name(self, capsys, tmp_path, src_a, src_b, status):
+        a, b = tmp_path / "a.whl", tmp_path / "b.whl"
+        a.write_text(src_a + "\n")
+        b.write_text(src_b + "\n")
+        assert run_cli(capsys, "bisim", str(a), str(b))[0] == status
 
     def test_budget_exhausted(self, capsys):
         status, lines = run_cli(

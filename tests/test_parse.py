@@ -128,6 +128,14 @@ class TestParseErrors:
         assert exc.value.line == 2
         assert exc.value.column == 7  # the '!' after two spaces and 'oops'
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_oversized_literal_names_its_position(self, sign):
+        # longer than CPython's int conversion limit (4,300 digits)
+        with pytest.raises(ParseError) as exc:
+            parse(f"skip ;\nx := {sign}{'7' * 5000}")
+        assert (exc.value.line, exc.value.column) == (2, 6 + len(sign))
+        assert exc.value.found == "a 5000-digit number"
+
     def test_reports_expected_and_found(self):
         with pytest.raises(ParseError) as exc:
             parse("if tt then skip else skip")

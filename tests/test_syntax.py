@@ -25,6 +25,8 @@ from coindwhile.syntax import (
     While,
     aexp,
     bexp,
+    compile_aexp,
+    compile_bexp,
     is_pure,
     lkp,
     upd,
@@ -152,11 +154,33 @@ class TestBexp:
             assert bexp(b, s) == bexp(b, s)
 
 
+class TestCompiledExpressions:
+    def test_agree_with_aexp_bexp(self):
+        # big-step runs the compiled closures, small-step aexp/bexp
+        rng = random.Random(4)
+        edge = (2**63 - 1, -(2**63), 2**62, -1)
+        for _ in range(300):
+            a, b, s = gen_aexp(rng, 4), gen_bexp(rng, 4), gen_state(rng)
+            s = s.upd(rng.randrange(4), rng.choice(edge))
+            assert compile_aexp(a)(s) == aexp(a, s)
+            assert compile_bexp(b)(s) is bexp(b, s)
+
+    def test_literal_out_of_range_wraps(self):
+        assert compile_aexp(NumLit(2**64 + 5))(EMPTY) == 5
+
+
 class TestStmtUtils:
     def test_is_pure(self):
         assert is_pure(Seq(Skip(), While(TrueLit(), Assign(0, NumLit(1)))))
         assert not is_pure(Seq(Skip(), Input(0)))
         assert not is_pure(If(TrueLit(), Skip(), Output(NumLit(1))))
+
+    def test_is_pure_on_a_deep_chain(self):
+        stmt = Skip()
+        for _ in range(5000):
+            stmt = Seq(stmt, Assign(0, NumLit(1)))
+        assert is_pure(stmt)
+        assert not is_pure(Seq(stmt, Input(0)))
 
     def test_variables(self):
         stmt = Seq(Assign(0, VarRef(2)), Output(VarRef(1)))
