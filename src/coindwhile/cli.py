@@ -69,18 +69,6 @@ def _parse_init(text: str, names: NameTable) -> State:
     return s
 
 
-def _render_state(state: State, names: NameTable) -> str:
-    pairs = []
-    for idx, v in state.items():
-        try:
-            name = names.name_of(idx)
-        except LookupError:
-            name = f"_{idx}"
-        pairs.append((name, v))
-    pairs.sort()
-    return "{" + ", ".join(f"{n}={v}" for n, v in pairs) + "}"
-
-
 def _state_dict(state: State, names: NameTable) -> dict:
     out = {}
     for idx, v in state.items():
@@ -89,6 +77,11 @@ def _state_dict(state: State, names: NameTable) -> dict:
         except LookupError:
             out[f"_{idx}"] = v
     return dict(sorted(out.items()))
+
+
+def _render_state(state: State, names: NameTable) -> str:
+    pairs = _state_dict(state, names).items()
+    return "{" + ", ".join(f"{n}={v}" for n, v in pairs) + "}"
 
 
 def _event_line(ev, names: NameTable, as_json: bool) -> str:
@@ -133,45 +126,25 @@ def _cmd_run(args) -> int:
     return _run_events(stmt, names, init, args)
 
 
-def _trace_for(stmt, init, mode):
-    return trace.eval_trace(stmt, init) if mode == "big" else trace.norm(stmt, init)
-
-
 def _res_for(stmt, init, mode):
     if mode == "big":
         return resumption.eval_res(stmt, init)
     return resumption.norm_res(stmt, init)
 
 
-def _iter_trace(t, fuel):
-    """Yield ('state', s) observations, then ('ended',) or ('truncated',)."""
-    for _ in range(fuel):
-        s, tail = t.step()
-        yield ("state", s)
-        if tail is None:
-            yield ("ended",)
-            return
-        t = tail
-    s, tail = t.step()
-    if tail is None:
-        yield ("state", s)
-        yield ("ended",)
-        return
-    yield ("truncated",)
-
-
 def _run_states(stmt, names, init, args) -> int:
-    status = "truncated"
-    for ev in _iter_trace(_trace_for(stmt, init, args.mode), args.fuel):
-        if ev[0] == "state":
-            if args.json:
-                print(json.dumps({"tag": "state", "state": _state_dict(ev[1], names)}))
-            else:
-                print(_render_state(ev[1], names))
+    # the program is pure, so its resumption is a trace; trace.walk yields
+    # the states, then None if the fuel ran out
+    for s in trace.walk(trace.Trace(_res_for(stmt, init, args.mode)), args.fuel):
+        if s is None:
+            break
+        if args.json:
+            print(json.dumps({"tag": "state", "state": _state_dict(s, names)}))
         else:
-            status = ev[0]
-            print(json.dumps({"tag": status}) if args.json else status)
-    return EXIT_OK if status == "ended" else EXIT_TRUNCATED
+            print(_render_state(s, names))
+    status = "truncated" if s is None else "ended"
+    print(json.dumps({"tag": status}) if args.json else status)
+    return EXIT_OK if s is not None else EXIT_TRUNCATED
 
 
 def _input_source(args):
@@ -206,17 +179,13 @@ def _run_summary(stmt, names, init, args) -> int:
     # observations are counted as they stream, so memory stays flat in fuel
     if is_pure(stmt):
         steps = 0
-        for ev in _iter_trace(_trace_for(stmt, init, args.mode), args.fuel):
-            if ev[0] == "state":
-                steps += 1
-                final = ev[1]
-            else:
-                status = ev[0]
-        line = f"status={status} steps={steps}"
-        if status == "ended":
-            line += f" state={_render_state(final, names)}"
-        print(line)
-        return EXIT_OK if status == "ended" else EXIT_TRUNCATED
+        for s in trace.walk(trace.Trace(_res_for(stmt, init, args.mode)), args.fuel):
+            steps += s is not None
+        if s is None:
+            print(f"status=truncated steps={steps}")
+            return EXIT_TRUNCATED
+        print(f"status=ended steps={steps} state={_render_state(s, names)}")
+        return EXIT_OK
     counts = {"in": 0, "out": 0, "delay": 0}
     for last in resumption.drive(_res_for(stmt, init, args.mode),
                                  _input_source(args), args.fuel):
@@ -390,6 +359,9 @@ def main(argv=None) -> int:
         return _die(str(exc))
     except trace.ImpureProgramError as exc:
         return _die(str(exc))
+    except RecursionError:
+        return _die(f"{args.command}: input or budget nested too deeply"
+                    " for the interpreter's recursion limit")
 
 
 def entry():

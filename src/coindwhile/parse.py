@@ -3,7 +3,7 @@ pretty-printer, and the variable-name interning table.
 
 Grammar (statements):
 
-    stmt   ::= simple (';' stmt)?                       right-associative
+    stmt   ::= simple (';' simple)*                     right-associative
     simple ::= 'skip'
              | ident ':=' aexp
              | 'if' bexp 'then' stmt 'else' stmt 'fi'
@@ -185,10 +185,14 @@ class _Parser:
     # statements -----------------------------------------------------------
 
     def stmt(self) -> Stmt:
-        first = self.simple_stmt()
-        if self.accept(";"):
-            return Seq(first, self.stmt())
-        return first
+        # a loop, not recursion, so that long ';' chains parse
+        parts = [self.simple_stmt()]
+        while self.accept(";"):
+            parts.append(self.simple_stmt())
+        stmt = parts.pop()
+        while parts:
+            stmt = Seq(parts.pop(), stmt)
+        return stmt
 
     def simple_stmt(self) -> Stmt:
         tok = self.peek()
@@ -386,11 +390,17 @@ def _pb(b: BExp, names: NameTable, ctx: int) -> str:
 def pretty(stmt: Stmt, names: NameTable) -> str:
     """Render stmt in concrete syntax; the result re-parses to an equal AST
     (up to the name/index bijection)."""
+    if type(stmt) is Seq:
+        # walk the right spine with a loop, so that long ';' chains print
+        parts = []
+        while type(stmt) is Seq:
+            parts.append(pretty(stmt.first, names))
+            stmt = stmt.second
+        parts.append(pretty(stmt, names))
+        return " ; ".join(parts)
     match stmt:
         case Skip():
             return "skip"
-        case Seq(first=a, second=b):
-            return f"{pretty(a, names)} ; {pretty(b, names)}"
         case Assign(var=x, expr=a):
             return f"{names.name_of(x)} := {_pa(a, names, 0)}"
         case If(cond=c, then=a, orelse=b):

@@ -8,10 +8,14 @@ emits an output value (``out``), or takes a silent step (``delay``).
     ("ret", state)
     ("in", continuation)        continuation: Val -> Res, total and pure
     ("out", value, rest)
-    ("delay", rest)
+    ("delay", rest, state)      state: where the silent step was taken
 
 computed on demand and memoized, so infinite resumptions are observed
-incrementally in bounded time per step.
+incrementally in bounded time per step. The interpreters record in each
+delay the state the step starts from; the hand-built stock resumptions have
+no state and record None. A trace is a resumption that never does input or
+output: ``trace.Trace`` reads ``("delay", rest, s)`` as ``(s, rest)`` and
+``("ret", s)`` as ``(s, None)``.
 """
 
 from __future__ import annotations
@@ -75,8 +79,8 @@ class Res:
         return Res._of(("out", v, rest))
 
     @staticmethod
-    def delay(rest: "Res") -> "Res":
-        return Res._of(("delay", rest))
+    def delay(rest: "Res", s: Optional[State] = None) -> "Res":
+        return Res._of(("delay", rest, s))
 
     @staticmethod
     def suspend(make: Callable[[], "Res"]) -> "Res":
@@ -133,15 +137,17 @@ def eval_res(stmt: Stmt, s: State) -> Res:
 
     Same delay placement as the pure trace semantics: skip is silent,
     assignment and guard tests each delay once; input/output statements
-    perform their action and terminate. Compiled once into CPS code, like
-    ``eval_trace``; this is the denotation of seque_res and loop_res below.
+    perform their action and terminate. Compiled once into CPS code
+    (``compile_stmt``) whose continuation is the rest of the run; this is the
+    denotation of seque_res and loop_res below, unfolded by associativity of
+    sequencing.
     """
     code = compile_stmt(stmt, _delay, _io)
     return Res(lambda: code(s, _ret))
 
 
 def _delay(s: State, rest: Callable[[], tuple]) -> tuple:
-    return ("delay", Res(rest))
+    return ("delay", Res(rest), s)
 
 
 def _ret(s: State) -> tuple:
@@ -170,7 +176,7 @@ def seque_res(k: Callable[[State], Res], r: Res) -> Res:
             return Res.inp(lambda v: seque_res(k, f(v)))
         if tag == "out":
             return Res.out(obs[1], seque_res(k, obs[2]))
-        return Res.delay(seque_res(k, obs[1]))
+        return Res.delay(seque_res(k, obs[1]), obs[2])
 
     return Res.suspend(force)
 
@@ -183,7 +189,7 @@ def loop_res(k: Callable[[State], Res], p: Callable[[State], bool], s: State) ->
     tag = obs[0]
     if tag == "ret":
         s1 = obs[1]
-        return Res.delay(Res.suspend(lambda: loop_res(k, p, s1)))
+        return Res.delay(Res.suspend(lambda: loop_res(k, p, s1)), s1)
     if tag == "in":
         f = obs[1]
         return Res.inp(lambda v: loopseq_res(k, p, f(v)))
@@ -191,7 +197,7 @@ def loop_res(k: Callable[[State], Res], p: Callable[[State], bool], s: State) ->
         rest = obs[2]
         return Res.out(obs[1], Res.suspend(lambda: loopseq_res(k, p, rest)))
     rest = obs[1]
-    return Res.delay(Res.suspend(lambda: loopseq_res(k, p, rest)))
+    return Res.delay(Res.suspend(lambda: loopseq_res(k, p, rest)), obs[2])
 
 
 def loopseq_res(k: Callable[[State], Res], p: Callable[[State], bool], r: Res) -> Res:
@@ -202,13 +208,13 @@ def loopseq_res(k: Callable[[State], Res], p: Callable[[State], bool], r: Res) -
         tag = obs[0]
         if tag == "ret":
             s = obs[1]
-            return Res.delay(Res.suspend(lambda: loop_res(k, p, s)))
+            return Res.delay(Res.suspend(lambda: loop_res(k, p, s)), s)
         if tag == "in":
             f = obs[1]
             return Res.inp(lambda v: loopseq_res(k, p, f(v)))
         if tag == "out":
             return Res.out(obs[1], loopseq_res(k, p, obs[2]))
-        return Res.delay(loopseq_res(k, p, obs[1]))
+        return Res.delay(loopseq_res(k, p, obs[1]), obs[2])
 
     return Res.suspend(force)
 
@@ -245,8 +251,13 @@ class LDelay:
 Lconf = LRet | LIn | LOut | LDelay
 
 
-def red_res(stmt: Stmt, s: State) -> Lconf:
-    """One labeled small step of While with I/O.
+def _red(stmt: Stmt, s: State) -> tuple:
+    """One labeled small step of While with I/O, as a tagged tuple:
+
+        ("ret", state)
+        ("in", stmt, update)        update: Val -> State
+        ("out", value, stmt, state)
+        ("delay", stmt, state)
 
     Walks the left spine of nested Seqs with a loop, takes the first step,
     and rebuilds the spine around the residual statement.
@@ -259,39 +270,49 @@ def red_res(stmt: Stmt, s: State) -> Lconf:
             stmt = stmt.first
         elif t is Skip:
             if not spine:
-                return LRet(s)
+                return ("ret", s)
             stmt = spine.pop()
         elif t is Assign:
-            return LDelay(unspine(SKIP, spine), s.upd(stmt.var, aexp(stmt.expr, s)))
+            return ("delay", unspine(SKIP, spine), s.upd(stmt.var, aexp(stmt.expr, s)))
         elif t is If:
             branch = stmt.then if bexp(stmt.cond, s) else stmt.orelse
-            return LDelay(unspine(branch, spine), s)
+            return ("delay", unspine(branch, spine), s)
         elif t is While:
             again = Seq(stmt.body, stmt) if bexp(stmt.cond, s) else SKIP
-            return LDelay(unspine(again, spine), s)
+            return ("delay", unspine(again, spine), s)
         elif t is Input:
             x = stmt.var
-            return LIn(unspine(SKIP, spine), lambda v: s.upd(x, v))
+            return ("in", unspine(SKIP, spine), lambda v: s.upd(x, v))
         elif t is Output:
-            return LOut(aexp(stmt.expr, s), unspine(SKIP, spine), s)
+            return ("out", aexp(stmt.expr, s), unspine(SKIP, spine), s)
         else:
             raise TypeError(f"not a statement: {stmt!r}")
 
 
+# the fields of each _red tuple, after its tag, are those of its L* class
+_LABELS = {"ret": LRet, "in": LIn, "out": LOut, "delay": LDelay}
+
+
+def red_res(stmt: Stmt, s: State) -> Lconf:
+    """One labeled small step of While with I/O."""
+    c = _red(stmt, s)
+    return _LABELS[c[0]](*c[1:])
+
+
 def norm_res(stmt: Stmt, s: State) -> Res:
-    """Small-step resumption semantics: repeatedly apply red_res."""
+    """Small-step resumption semantics: repeatedly apply the reducer."""
 
     def force():
-        c = red_res(stmt, s)
-        t = type(c)
-        if t is LDelay:
-            return ("delay", norm_res(c.stmt, c.state))
-        if t is LOut:
-            return ("out", c.value, norm_res(c.stmt, c.state))
-        if t is LIn:
-            stmt1, f = c.stmt, c.update
+        c = _red(stmt, s)
+        tag = c[0]
+        if tag == "delay":
+            return ("delay", norm_res(c[1], c[2]), s)
+        if tag == "out":
+            return ("out", c[1], norm_res(c[2], c[3]))
+        if tag == "in":
+            stmt1, f = c[1], c[2]
             return ("in", lambda v: norm_res(stmt1, f(v)))
-        return ("ret", c.state)
+        return c
 
     return Res(force)
 

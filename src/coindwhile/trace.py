@@ -4,32 +4,22 @@ A trace is a possibly infinite, nonempty sequence of states. It is observed
 one step at a time: ``step()`` returns ``(state, tail)`` where ``tail`` is
 ``None`` when the trace ends here, or the rest of the trace otherwise. Tails
 are produced on demand, so infinite traces are fine; each observation does
-work bounded by the size of the statement that produced the trace, never by
-the (possibly infinite) length of the trace.
+work bounded by the size of the statement, never by the length of the trace.
+
+A trace is a resumption that never does input or output, so ``Trace`` is a
+view over a ``Res``: a delay observation ``("delay", rest, s)`` reads as
+``(s, Trace(rest))`` and ``("ret", s)`` as ``(s, None)``. The memo cell, the
+interpreters and the combinators are those of ``resumption.py``; this
+module only checks that a program is pure and changes the point of view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
-from .syntax import (
-    SKIP,
-    Assign,
-    If,
-    Input,
-    Output,
-    Seq,
-    Skip,
-    State,
-    Stmt,
-    While,
-    aexp,
-    bexp,
-    compile_stmt,
-    is_pure,
-    unspine,
-)
+from .resumption import Res, _red, eval_res, loop_res, loopseq_res, norm_res, seque_res
+from .syntax import State, Stmt, is_pure
 
 
 class ImpureProgramError(ValueError):
@@ -40,39 +30,26 @@ Observation = tuple  # (State, Optional[Trace])
 
 
 class Trace:
-    """A suspended trace; ``step()`` forces and memoizes one observation."""
+    """A pure resumption seen as a trace; ``step()`` returns ``(s, tail)``."""
 
-    __slots__ = ("_force", "_obs", "__weakref__")
+    __slots__ = ("_res",)
 
-    def __init__(self, force: Callable[[], Observation]):
-        self._force = force
-        self._obs = None
+    def __init__(self, res: Res):
+        self._res = res
 
     def step(self) -> Observation:
-        obs = self._obs
-        if obs is None:
-            obs = self._obs = self._force()
-            self._force = None
-        return obs
+        obs = self._res.step()
+        if obs[0] == "delay":
+            return (obs[2], Trace(obs[1]))
+        return (obs[1], None)
 
     @staticmethod
     def nil(s: State) -> "Trace":
-        t = Trace.__new__(Trace)
-        t._force = None
-        t._obs = (s, None)
-        return t
+        return Trace(Res.ret(s))
 
     @staticmethod
     def delay(s: State, tail: "Trace") -> "Trace":
-        t = Trace.__new__(Trace)
-        t._force = None
-        t._obs = (s, tail)
-        return t
-
-    @staticmethod
-    def suspend(make: Callable[[], "Trace"]) -> "Trace":
-        """A trace whose first observation is delegated to make()."""
-        return Trace(lambda: make().step())
+        return Trace(Res.delay(tail._res, s))
 
 
 @dataclass(frozen=True)
@@ -88,6 +65,26 @@ class TracePrefix:
         return "ended" if self.ended else "truncated"
 
 
+def walk(t: Trace, fuel: int) -> Iterator[Optional[State]]:
+    """Yield the states of t one at a time, at most fuel delays' worth plus
+    a free final state if t ends by then; then None if the fuel ran out.
+
+    Only the cell being observed is referenced, so a caller that does not
+    keep t itself streams in constant memory.
+    """
+    r = t._res
+    del t  # a held head would keep every memoized step alive
+    for _ in range(fuel):
+        obs = r.step()
+        if obs[0] != "delay":
+            yield obs[1]
+            return
+        yield obs[2]
+        r = obs[1]
+    obs = r.step()
+    yield None if obs[0] == "delay" else obs[1]
+
+
 def take(t: Trace, fuel: int) -> TracePrefix:
     """Observe at most fuel steps (plus a free final nil observation).
 
@@ -95,131 +92,57 @@ def take(t: Trace, fuel: int) -> TracePrefix:
     yields all its states and ``ended``, otherwise the states seen so far
     and ``truncated``.
     """
-    states = []
-    for _ in range(fuel):
-        s, tail = t.step()
-        states.append(s)
-        if tail is None:
-            return TracePrefix(tuple(states), True)
-        t = tail
-    s, tail = t.step()
-    if tail is None:
-        states.append(s)
-        return TracePrefix(tuple(states), True)
-    return TracePrefix(tuple(states), False)
+    seen = walk(t, fuel)
+    del t  # as in walk: the head must not outlive the call
+    states = list(seen)
+    ended = states[-1] is not None
+    if not ended:
+        states.pop()
+    return TracePrefix(tuple(states), ended)
 
 
-# ---------------------------------------------------------------------------
-# big-step interpreter
+def _pure(stmt: Stmt) -> Stmt:
+    if not is_pure(stmt):
+        raise ImpureProgramError(
+            "trace semantics is for pure While; program performs input/output"
+        )
+    return stmt
 
 
 def eval_trace(stmt: Stmt, s: State) -> Trace:
-    """Big-step trace semantics of pure While.
+    """Big-step trace semantics of pure While: ``eval_res`` seen as a trace.
 
     Skip is silent; assignment and every guard test contribute one delay.
-    Total: diverging programs yield infinite traces. The statement is
-    compiled once into CPS code (``compile_stmt``) whose continuation is
-    the rest of the trace; this is the denotation of seque and loop below,
-    unfolded by associativity of sequencing.
+    Total: diverging programs yield infinite traces.
     """
-    code = compile_stmt(stmt, _delay, _impure)
-    return Trace(lambda: code(s, _nil))
+    return Trace(eval_res(_pure(stmt), s))
 
 
-def _delay(s: State, rest: Callable[[], Observation]) -> Observation:
-    return (s, Trace(rest))
+def norm(stmt: Stmt, s: State) -> Trace:
+    """Small-step trace semantics: ``norm_res`` seen as a trace."""
+    return Trace(norm_res(_pure(stmt), s))
 
 
-def _nil(s: State) -> Observation:
-    return (s, None)
-
-
-def _impure(stmt: Stmt):
-    raise ImpureProgramError(
-        "trace semantics is for pure While; program performs input/output"
-    )
+def red(stmt: Stmt, s: State) -> Optional[tuple[Stmt, State]]:
+    """One-step reduction; None means the statement is terminal."""
+    c = _red(stmt, s)
+    if c[0] == "delay":
+        return (c[1], c[2])
+    if c[0] == "ret":
+        return None
+    raise ImpureProgramError(f"input/output statement in pure context: {stmt!r}")
 
 
 def seque(k: Callable[[State], Trace], t: Trace) -> Trace:
     """Continue with k from the last state of t, if t ever ends."""
-
-    def force():
-        s, tail = t.step()
-        if tail is None:
-            return k(s)
-        return Trace.delay(s, seque(k, tail))
-
-    return Trace.suspend(force)
+    return Trace(seque_res(lambda s: k(s)._res, t._res))
 
 
 def loop(k: Callable[[State], Trace], p: Callable[[State], bool], s: State) -> Trace:
     """Repeat the body k while the guard p holds, starting from state s."""
-    if not p(s):
-        return Trace.nil(s)
-    s1, tail = k(s).step()
-    if tail is None:
-        return Trace.delay(s1, Trace.suspend(lambda: loop(k, p, s1)))
-    return Trace.delay(s1, Trace.suspend(lambda: loopseq(k, p, tail)))
+    return Trace(loop_res(lambda s1: k(s1)._res, p, s))
 
 
 def loopseq(k: Callable[[State], Trace], p: Callable[[State], bool], t: Trace) -> Trace:
     """Flush the current body trace t, then hand back to loop."""
-
-    def force():
-        s, tail = t.step()
-        if tail is None:
-            return Trace.delay(s, Trace.suspend(lambda: loop(k, p, s)))
-        return Trace.delay(s, Trace.suspend(lambda: loopseq(k, p, tail)))
-
-    return Trace.suspend(force)
-
-
-# ---------------------------------------------------------------------------
-# small-step interpreter
-
-
-def red(stmt: Stmt, s: State) -> Optional[tuple[Stmt, State]]:
-    """One-step reduction; None means the statement is terminal.
-
-    Walks the left spine of nested Seqs with a loop, reduces the first
-    redex, and rebuilds the spine around the result.
-    """
-    spine = []
-    while True:
-        t = type(stmt)
-        if t is Seq:
-            spine.append(stmt.second)
-            stmt = stmt.first
-        elif t is Skip:
-            if not spine:
-                return None
-            stmt = spine.pop()
-        elif t is Assign:
-            return (unspine(SKIP, spine), s.upd(stmt.var, aexp(stmt.expr, s)))
-        elif t is If:
-            branch = stmt.then if bexp(stmt.cond, s) else stmt.orelse
-            return (unspine(branch, spine), s)
-        elif t is While:
-            again = Seq(stmt.body, stmt) if bexp(stmt.cond, s) else SKIP
-            return (unspine(again, spine), s)
-        elif t is Input or t is Output:
-            raise ImpureProgramError(f"input/output statement in pure context: {stmt!r}")
-        else:
-            raise TypeError(f"not a statement: {stmt!r}")
-
-
-def norm(stmt: Stmt, s: State) -> Trace:
-    """Small-step trace semantics: repeatedly apply red, one delay per step."""
-    if not is_pure(stmt):
-        _impure(stmt)
-    return _norm(stmt, s)
-
-
-def _norm(stmt: Stmt, s: State) -> Trace:
-    def force():
-        r = red(stmt, s)
-        if r is None:
-            return (s, None)
-        return (s, _norm(*r))
-
-    return Trace(force)
+    return Trace(loopseq_res(lambda s: k(s)._res, p, t._res))

@@ -125,6 +125,33 @@ class TestErrors:
         assert "bad.whl:" in err and "od" in err
 
 
+class TestDeepInput:
+    def test_long_seq_chain(self, capsys, tmp_path):
+        prog = tmp_path / "long.whl"
+        prog.write_text(" ;\n".join(["x := 1"] * 5000) + "\n")
+        status, lines = run_cli(capsys, "parse", str(prog))
+        assert status == 0
+        assert lines == [" ; ".join(["x := 1"] * 5000)]
+        status, lines = run_cli(capsys, "run", str(prog), "--emit", "summary")
+        assert (status, lines) == (0, ["status=ended steps=5001 state={x=1}"])
+
+    @staticmethod
+    def assert_one_line_error(capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "nested too deeply" in err
+
+    def test_deep_parentheses_are_an_error_not_a_traceback(self, capsys, tmp_path):
+        prog = tmp_path / "parens.whl"
+        prog.write_text("x := " + "(" * 2000 + "1" + ")" * 2000 + "\n")
+        self.assert_one_line_error(capsys, ["parse", str(prog)])
+
+    def test_deep_bisim_budget_is_an_error_not_a_traceback(self, capsys):
+        self.assert_one_line_error(
+            capsys, ["bisim", EMIT, EMIT, "--depth-budget", "5000"]
+        )
+
+
 class TestCompare:
     @pytest.mark.parametrize("path", [COUNTER, LOOP, ECHO])
     def test_interpreters_agree(self, capsys, path):

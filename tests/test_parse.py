@@ -175,3 +175,14 @@ class TestPretty:
             text = pretty(stmt, names)
             stmt2, names2 = parse(text)
             assert pretty(stmt2, names2) == text
+
+    def test_long_seq_chain_round_trips(self):
+        # parser and printer loop over ';' instead of recursing per statement
+        text = " ; ".join(f"x := {i}" for i in range(5000))
+        head, names = parse(text)
+        stmt = head
+        for i in range(4999):
+            assert stmt.first == Assign(0, NumLit(i))
+            stmt = stmt.second
+        assert stmt == Assign(0, NumLit(4999))
+        assert pretty(head, names) == text

@@ -46,6 +46,29 @@ def ast(src):
     return stmt
 
 
+def observe_with_states(r, script, fuel):
+    """The observations of r against script, each delay with its state."""
+    inputs = iter(script)
+    seen = []
+    for _ in range(fuel):
+        obs = r.step()
+        if obs[0] == "ret":
+            return seen + [obs]
+        if obs[0] == "in":
+            v = next(inputs, None)
+            if v is None:
+                break
+            seen.append(("in", v))
+            r = obs[1](v)
+        elif obs[0] == "out":
+            seen.append(("out", obs[1]))
+            r = obs[2]
+        else:
+            seen.append(("delay", obs[2]))
+            r = obs[1]
+    return seen
+
+
 class TestEvalGoldens:
     def test_skip_returns(self):
         assert eval_res(Skip(), EMPTY).step() == ("ret", EMPTY)
@@ -64,6 +87,14 @@ class TestEvalGoldens:
         obs = eval_res(ast("x := 17"), EMPTY).step()
         assert obs[0] == "delay"
         assert obs[1].step() == ("ret", EMPTY.upd(0, 17))
+
+    def test_delay_carries_the_state_it_starts_from(self):
+        s = EMPTY.upd(1, 4)
+        for interp in (eval_res, norm_res):
+            obs = interp(ast("y := 2 ; x := y + 1"), s).step()
+            assert obs[0] == "delay" and obs[2] == s
+            assert obs[1].step()[2] == s.upd(0, 2)  # y is variable 0
+        assert bot().step()[2] is None
 
     def test_input_then_output_log(self):
         # hand-unfolded: no delay between the input and the sequenced output
@@ -223,6 +254,18 @@ class TestProperties:
                 assert log[-1] == ("ret", prefix.states[-1])
             else:
                 assert log == [("delay",)] * 64 + [("truncated",)]
+
+    def test_delay_states_big_equal_small(self):
+        # each delay records the state its step starts from; the event logs
+        # above carry no states, so this is the finer differential check
+        rng = random.Random(41)
+        for _ in range(150):
+            stmt = gen_stmt(rng, 6, io=True)
+            s = gen_state(rng)
+            script = gen_script(rng)
+            big = observe_with_states(eval_res(stmt, s), script, 128)
+            small = observe_with_states(norm_res(stmt, s), script, 128)
+            assert big == small
 
     def test_guard_progress(self):
         rng = random.Random(13)

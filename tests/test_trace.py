@@ -1,6 +1,7 @@
 """Trace semantics: the big-step and small-step interpreters for pure While."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -47,6 +48,17 @@ class TestTake:
     def test_truncates_infinite_trace(self):
         pre = take(eval_trace(While(TrueLit(), Skip()), EMPTY), 2)
         assert pre == TracePrefix((EMPTY, EMPTY), False)
+
+    def test_does_not_hold_the_head(self):
+        # the memoized cells of 50,000 steps take about 6 MB if retained
+        tracemalloc.start()
+        try:
+            pre = take(eval_trace(While(TrueLit(), Skip()), EMPTY), 50_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pre == TracePrefix((EMPTY,) * 50_000, False)
+        assert peak < 2_000_000, f"peak {peak} bytes"
 
     def test_fuel_counts_delays_not_states(self):
         s1 = EMPTY.upd(0, 17)
