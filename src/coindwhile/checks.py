@@ -250,15 +250,21 @@ def trace_eq(t0: Trace, t1: Trace, fuel: int) -> Verdict:
     ("delay", s).
     """
 
-    def describe(s, tail):
-        return ("nil", s) if tail is None else ("delay", s)
+    def describe(obs):
+        return ("delay", obs[2]) if obs[0] == "delay" else ("nil", obs[1])
 
+    # step the underlying resumptions, as trace.walk does; a held head
+    # would keep every memoized step alive
+    r0, r1 = t0._res, t1._res
+    del t0, t1
     for i in range(fuel + 1):
-        s0, tail0 = t0.step()
-        s1, tail1 = t1.step()
-        if s0 != s1 or (tail0 is None) != (tail1 is None):
-            return Distinguished((i, describe(s0, tail0), describe(s1, tail1)))
-        if tail0 is None:
+        o0 = r0.step()
+        o1 = r1.step()
+        if o0[0] == "delay":
+            if o1[0] == "delay" and o0[2] == o1[2]:
+                r0, r1 = o0[1], o1[1]
+                continue
+        elif o1[0] != "delay" and o0[1] == o1[1]:
             return EquivalentUpToBounds()
-        t0, t1 = tail0, tail1
+        return Distinguished((i, describe(o0), describe(o1)))
     return EquivalentUpToBounds()

@@ -16,6 +16,13 @@ delay the state the step starts from; the hand-built stock resumptions have
 no state and record None. A trace is a resumption that never does input or
 output: ``trace.Trace`` reads ``("delay", rest, s)`` as ``(s, rest)`` and
 ``("ret", s)`` as ``(s, None)``.
+
+The small-step interpreter ``norm_res`` runs configurations
+``(stmt, context, state)``. The context is the stack of ``Seq`` second
+components still to run, and it is kept from one step to the next
+(refocusing, Danvy & Nielsen 2004), so a step costs the same however deeply
+the running statement sits inside nested sequences. ``red_res`` plugs the
+context back into a statement.
 """
 
 from __future__ import annotations
@@ -39,7 +46,6 @@ from .syntax import (
     bexp,
     compile_aexp,
     compile_stmt,
-    unspine,
 )
 
 
@@ -251,67 +257,90 @@ class LDelay:
 Lconf = LRet | LIn | LOut | LDelay
 
 
-def _red(stmt: Stmt, s: State) -> tuple:
-    """One labeled small step of While with I/O, as a tagged tuple:
+# A context is None or (second, context): the Seq second components still to
+# run, innermost first. It is a persistent linked stack, so configurations
+# (stmt, context, state) share their tails and one step allocates no Seq.
+Context = Optional[tuple]
+
+
+def _red(stmt: Stmt, k: Context, s: State) -> tuple:
+    """One labeled small step of the configuration (stmt, k, s), as a
+    tagged tuple:
 
         ("ret", state)
-        ("in", stmt, update)        update: Val -> State
-        ("out", value, stmt, state)
-        ("delay", stmt, state)
+        ("in", stmt, k, update)        update: Val -> State
+        ("out", value, stmt, k, state)
+        ("delay", stmt, k, state)
 
-    Walks the left spine of nested Seqs with a loop, takes the first step,
-    and rebuilds the spine around the residual statement.
+    A Seq pushes its second component onto k and a Skip pops it, so only
+    the focused statement is taken apart; _plug(stmt, k) is the statement
+    the configuration stands for.
     """
-    spine = []
     while True:
         t = type(stmt)
         if t is Seq:
-            spine.append(stmt.second)
+            k = (stmt.second, k)
             stmt = stmt.first
         elif t is Skip:
-            if not spine:
+            if k is None:
                 return ("ret", s)
-            stmt = spine.pop()
+            stmt, k = k
         elif t is Assign:
-            return ("delay", unspine(SKIP, spine), s.upd(stmt.var, aexp(stmt.expr, s)))
+            return ("delay", SKIP, k, s.upd(stmt.var, aexp(stmt.expr, s)))
         elif t is If:
-            branch = stmt.then if bexp(stmt.cond, s) else stmt.orelse
-            return ("delay", unspine(branch, spine), s)
+            return ("delay", stmt.then if bexp(stmt.cond, s) else stmt.orelse, k, s)
         elif t is While:
-            again = Seq(stmt.body, stmt) if bexp(stmt.cond, s) else SKIP
-            return ("delay", unspine(again, spine), s)
+            if bexp(stmt.cond, s):
+                return ("delay", stmt.body, (stmt, k), s)
+            return ("delay", SKIP, k, s)
         elif t is Input:
             x = stmt.var
-            return ("in", unspine(SKIP, spine), lambda v: s.upd(x, v))
+            return ("in", SKIP, k, lambda v: s.upd(x, v))
         elif t is Output:
-            return ("out", aexp(stmt.expr, s), unspine(SKIP, spine), s)
+            return ("out", aexp(stmt.expr, s), SKIP, k, s)
         else:
             raise TypeError(f"not a statement: {stmt!r}")
 
 
-# the fields of each _red tuple, after its tag, are those of its L* class
-_LABELS = {"ret": LRet, "in": LIn, "out": LOut, "delay": LDelay}
+def _plug(stmt: Stmt, k: Context) -> Stmt:
+    """The statement that the configuration (stmt, k) stands for."""
+    while k is not None:
+        second, k = k
+        stmt = Seq(stmt, second)
+    return stmt
 
 
 def red_res(stmt: Stmt, s: State) -> Lconf:
     """One labeled small step of While with I/O."""
-    c = _red(stmt, s)
-    return _LABELS[c[0]](*c[1:])
+    c = _red(stmt, None, s)
+    tag = c[0]
+    if tag == "delay":
+        return LDelay(_plug(c[1], c[2]), c[3])
+    if tag == "out":
+        return LOut(c[1], _plug(c[2], c[3]), c[4])
+    if tag == "in":
+        return LIn(_plug(c[1], c[2]), c[3])
+    return LRet(c[1])
 
 
 def norm_res(stmt: Stmt, s: State) -> Res:
     """Small-step resumption semantics: repeatedly apply the reducer."""
+    return _norm(stmt, None, s)
+
+
+def _norm(stmt: Stmt, k: Context, s: State) -> Res:
+    """The run from the configuration (stmt, k, s)."""
 
     def force():
-        c = _red(stmt, s)
+        c = _red(stmt, k, s)
         tag = c[0]
         if tag == "delay":
-            return ("delay", norm_res(c[1], c[2]), s)
+            return ("delay", _norm(c[1], c[2], c[3]), s)
         if tag == "out":
-            return ("out", c[1], norm_res(c[2], c[3]))
+            return ("out", c[1], _norm(c[2], c[3], c[4]))
         if tag == "in":
-            stmt1, f = c[1], c[2]
-            return ("in", lambda v: norm_res(stmt1, f(v)))
+            stmt1, k1, f = c[1], c[2], c[3]
+            return ("in", lambda v: _norm(stmt1, k1, f(v)))
         return c
 
     return Res(force)

@@ -380,14 +380,6 @@ def _then(a: Code, b: Code) -> Code:
     return lambda s, k: a(s, lambda s1: b(s1, k))
 
 
-def unspine(stmt: Stmt, spine: list) -> Stmt:
-    """Rebuild a left Seq spine around stmt; spine lists the second
-    components from the outermost to the innermost, and is emptied."""
-    while spine:
-        stmt = Seq(stmt, spine.pop())
-    return stmt
-
-
 # ---------------------------------------------------------------------------
 # statement utilities
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .resumption import Res, _red, eval_res, loop_res, loopseq_res, norm_res, seque_res
+from .resumption import Res, _plug, _red, eval_res, norm_res
+from .resumption import loop_res, loopseq_res, seque_res
 from .syntax import State, Stmt, is_pure
 
 
@@ -125,9 +126,9 @@ def norm(stmt: Stmt, s: State) -> Trace:
 
 def red(stmt: Stmt, s: State) -> Optional[tuple[Stmt, State]]:
     """One-step reduction; None means the statement is terminal."""
-    c = _red(stmt, s)
+    c = _red(stmt, None, s)
     if c[0] == "delay":
-        return (c[1], c[2])
+        return (_plug(c[1], c[2]), c[3])
     if c[0] == "ret":
         return None
     raise ImpureProgramError(f"input/output statement in pure context: {stmt!r}")

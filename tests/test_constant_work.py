@@ -1,8 +1,10 @@
 """The work per observation is bounded by the syntax of one statement.
 
-Big-step runs compiled CPS code, so the Python calls per observation do not
-grow with the loop nest; small-step walks the Seq spine with a loop, so a
-deep spine does not recurse. Both must still produce the same runs.
+Big-step runs compiled CPS code and small-step keeps its evaluation context
+as a stack, so in all four interpreters the Python calls per observation
+grow neither with the loop nest nor with the depth of the Seqs around the
+running statement, and a deep Seq spine does not recurse. Both must still
+produce the same runs.
 """
 
 import sys
@@ -96,27 +98,50 @@ def calls_per_observation(observe, n=2000):
     return calls / n
 
 
-def observe_trace(stmt):
+def under_seqs(depth):
+    """while tt do x := x + 1 od as the first leaf of depth left-nested Seqs"""
+    stmt, _ = parse("while tt do x := x + 1 od")
+    for _ in range(depth):
+        stmt = Seq(stmt, Skip())
+    return stmt
+
+
+def observe_trace(interp, stmt):
     def run(n):
-        t = eval_trace(stmt, EMPTY)
+        t = interp(stmt, EMPTY)
         for _ in range(n):
             _, t = t.step()
 
     return run
 
 
-def observe_res(stmt):
+def observe_res(interp, stmt):
     def run(n):
-        for _ in drive(eval_res(stmt, EMPTY), lambda: None, n):
+        for _ in drive(interp(stmt, EMPTY), lambda: None, n):
             pass
 
     return run
 
 
-@pytest.mark.parametrize("observe", [observe_trace, observe_res])
-def test_big_step_calls_per_observation_do_not_grow_with_nesting(observe):
-    shallow = calls_per_observation(observe(nest(1)))
-    deep = calls_per_observation(observe(nest(4)))
+@pytest.mark.parametrize(
+    "observe, interp",
+    [
+        pytest.param(observe_trace, eval_trace, id="eval_trace"),
+        pytest.param(observe_res, eval_res, id="eval_res"),
+        pytest.param(observe_trace, norm, id="norm"),
+        pytest.param(observe_res, norm_res, id="norm_res"),
+    ],
+)
+@pytest.mark.parametrize(
+    "shallow, deep",
+    [
+        pytest.param(nest(1), nest(4), id="loop_nest"),
+        pytest.param(under_seqs(1), under_seqs(50), id="seq_context"),
+    ],
+)
+def test_calls_per_observation_do_not_grow_with_nesting(observe, interp, shallow, deep):
+    shallow = calls_per_observation(observe(interp, shallow))
+    deep = calls_per_observation(observe(interp, deep))
     assert deep <= 1.25 * shallow, (shallow, deep)
 
 

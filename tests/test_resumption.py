@@ -46,6 +46,12 @@ def ast(src):
     return stmt
 
 
+def left_nested(src):
+    """The three statements of "a ; b ; c", parsed over one name table."""
+    stmt = ast(src)
+    return stmt.first, stmt.second.first, stmt.second.second
+
+
 def observe_with_states(r, script, fuel):
     """The observations of r against script, each delay with its state."""
     inputs = iter(script)
@@ -168,6 +174,24 @@ class TestSmallStep:
     def test_assignment_is_a_delay_step(self):
         c = red_res(ast("x := 2"), EMPTY)
         assert c == LDelay(Skip(), EMPTY.upd(0, 2))
+
+    def test_while_under_a_context(self):
+        stmt = ast("while x <= 0 do x := 1 od ; y := 2")
+        w, rest = stmt.first, stmt.second
+        assert red_res(stmt, EMPTY) == LDelay(Seq(Seq(w.body, w), rest), EMPTY)
+        s = EMPTY.upd(0, 1)
+        assert red_res(stmt, s) == LDelay(Seq(Skip(), rest), s)
+
+    def test_input_under_a_context(self):
+        io, mid, last = left_nested("input x ; y := 1 ; output y")
+        c = red_res(Seq(Seq(io, mid), last), EMPTY)
+        assert type(c) is LIn and c.stmt == Seq(Seq(Skip(), mid), last)
+        assert c.update(4) == EMPTY.upd(0, 4)
+
+    def test_output_under_a_context(self):
+        io, mid, last = left_nested("output 5 ; y := 1 ; output y")
+        c = red_res(Seq(Seq(io, mid), last), EMPTY)
+        assert c == LOut(5, Seq(Seq(Skip(), mid), last), EMPTY)
 
     def test_norm_skip(self):
         assert norm_res(Skip(), EMPTY).step() == ("ret", EMPTY)

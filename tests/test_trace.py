@@ -163,6 +163,13 @@ class TestRed:
     def test_seq_falls_through_terminal_first_component(self):
         assert red(Seq(Skip(), ast("x := 1")), EMPTY) == (Skip(), EMPTY.upd(0, 1))
 
+    def test_while_under_a_context(self):
+        stmt = ast("while x <= 0 do x := 1 od ; y := 2")
+        w, rest = stmt.first, stmt.second
+        assert red(stmt, EMPTY) == (Seq(Seq(w.body, w), rest), EMPTY)
+        s = EMPTY.upd(0, 1)
+        assert red(stmt, s) == (Seq(Skip(), rest), s)
+
     def test_norm_of_skip(self):
         assert norm(Skip(), EMPTY).step() == (EMPTY, None)
 
