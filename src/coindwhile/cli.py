@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import zip_longest
 
 from . import checks, parse as parse_mod, resumption, trace
 from .parse import NameTable, ParseError, parse, pretty
@@ -148,7 +149,7 @@ def _run_states(stmt, names, init, args) -> int:
 
 
 def _input_source(args):
-    if args.interactive:
+    if getattr(args, "interactive", False):
         def next_input():
             while True:
                 print("? ", end="", file=sys.stderr, flush=True)
@@ -217,17 +218,13 @@ def _cmd_compare(args) -> int:
         idx, left, right = verdict.witness
         print(f"diverged at step {idx}: big={left} small={right}")
         return EXIT_ERROR
-    script = _parse_vals(args.script or "")
-    big = resumption.run_events(resumption.eval_res(stmt, init), script, args.fuel)
-    small = resumption.run_events(resumption.norm_res(stmt, init), script, args.fuel)
-    for i, (b, s) in enumerate(zip(big, small)):
+    # the two runs stream in lock step, so memory stays flat in fuel
+    big, small = (resumption.drive(interp(stmt, init), _input_source(args), args.fuel)
+                  for interp in (resumption.eval_res, resumption.norm_res))
+    for i, (b, s) in enumerate(zip_longest(big, small)):
         if b != s:
             print(f"diverged at event {i}: big={b} small={s}")
             return EXIT_ERROR
-    if len(big) != len(small):
-        print(f"diverged at event {min(len(big), len(small))}: log lengths"
-              f" {len(big)} vs {len(small)}")
-        return EXIT_ERROR
     print(f"agree up to fuel {args.fuel}")
     return EXIT_OK
 
@@ -236,17 +233,20 @@ def _cmd_compare(args) -> int:
 # bisim / responsive
 
 
-def _render_path(path) -> str:
+def _render_head(head, names: NameTable) -> str:
+    if head[0] == "ret":
+        return f"ret {_render_state(head[1], names)}"
+    return " ".join(map(str, head))
+
+
+def _render_path(path, names: NameTable) -> str:
     parts = []
     for step in path:
-        if step[0] == "in":
-            parts.append(f"in {step[1]}")
-        elif step[0] == "out":
-            parts.append(f"out {step[1]}")
-        elif step[0] == "mismatch":
-            parts.append(f"mismatch {step[1]} vs {step[2]}")
+        if step[0] == "mismatch":
+            parts.append(f"mismatch {_render_head(step[1], names)}"
+                         f" vs {_render_head(step[2], names)}")
         else:
-            parts.append(step[0])
+            parts.append(_render_head(step, names))
     return " ; ".join(parts) if parts else "(start)"
 
 
@@ -257,7 +257,7 @@ def _cmd_bisim(args) -> int:
     cfg = checks.BisimConfig(
         delay_budget=args.delay_budget,
         depth_budget=args.depth_budget,
-        input_sample=tuple(_parse_vals(args.sample)),
+        input_sample=args.sample,
     )
     r0 = resumption.eval_res(stmt_a, State.empty())
     r1 = resumption.eval_res(stmt_b, State.empty())
@@ -266,9 +266,9 @@ def _cmd_bisim(args) -> int:
         print("equivalent up to bounds")
         return EXIT_OK
     if isinstance(verdict, checks.Distinguished):
-        print(f"distinguished: {_render_path(verdict.witness)}")
+        print(f"distinguished: {_render_path(verdict.witness, names)}")
         return EXIT_DISTINGUISHED
-    print(f"budget exhausted ({verdict.budget}): {_render_path(verdict.path)}")
+    print(f"budget exhausted ({verdict.budget}): {_render_path(verdict.path, names)}")
     return EXIT_BUDGET
 
 
@@ -278,15 +278,15 @@ def _cmd_responsive(args) -> int:
         resumption.eval_res(stmt, State.empty()),
         latency_budget=args.latency_budget,
         depth_budget=args.depth_budget,
-        input_sample=tuple(_parse_vals(args.sample)),
+        input_sample=args.sample,
     )
     if isinstance(verdict, checks.ResponsiveUpToBounds):
         print("responsive up to bounds")
         return EXIT_OK
     if isinstance(verdict, checks.LatencyExceeded):
-        print(f"latency exceeded: {_render_path(verdict.path)}")
+        print(f"latency exceeded: {_render_path(verdict.path, names)}")
         return EXIT_DISTINGUISHED
-    print(f"budget exhausted ({verdict.budget}): {_render_path(verdict.path)}")
+    print(f"budget exhausted ({verdict.budget}): {_render_path(verdict.path, names)}")
     return EXIT_BUDGET
 
 
@@ -300,8 +300,34 @@ def _cmd_parse(args) -> int:
 # argument parsing
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error is exit 1 with one line, not argparse's exit 2
+        raise CliError(f"{self.prog}: {message}")
+
+
+def _at_least(least: int):
+    """An argparse type: an integer no smaller than least."""
+
+    def integer(text: str) -> int:
+        n = int(text)  # argparse reports a ValueError as an invalid value
+        if n < least:
+            raise argparse.ArgumentTypeError(f"want an integer >= {least}, got {n}")
+        return n
+
+    return integer
+
+
+def _sample(text: str) -> tuple:
+    """An argparse type: a nonempty list of input values."""
+    vals = tuple(_parse_vals(text))
+    if not vals:
+        raise argparse.ArgumentTypeError("want at least one input value")
+    return vals
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="coind-while",
         description="Total interpreters and checkers for While with I/O.",
     )
@@ -310,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a program")
     run.add_argument("file")
     run.add_argument("--mode", choices=["big", "small"], default="big")
-    run.add_argument("--fuel", type=int, default=10000)
+    run.add_argument("--fuel", type=_at_least(0), default=10000)
     run.add_argument("--script", help="comma-separated input values")
     run.add_argument("--interactive", action="store_true",
                      help="read input values from stdin")
@@ -321,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cmp_ = sub.add_parser("compare", help="diff the big- and small-step runs")
     cmp_.add_argument("file")
-    cmp_.add_argument("--fuel", type=int, default=10000)
+    cmp_.add_argument("--fuel", type=_at_least(0), default=10000)
     cmp_.add_argument("--script", help="comma-separated input values")
     cmp_.add_argument("--init", default="")
     cmp_.set_defaults(func=_cmd_compare)
@@ -329,17 +355,17 @@ def _build_parser() -> argparse.ArgumentParser:
     bis = sub.add_parser("bisim", help="check two programs for delay-bisimilarity")
     bis.add_argument("file_a")
     bis.add_argument("file_b")
-    bis.add_argument("--delay-budget", type=int, default=16)
-    bis.add_argument("--depth-budget", type=int, default=64)
-    bis.add_argument("--sample", default="0,1,-1",
+    bis.add_argument("--delay-budget", type=_at_least(1), default=16)
+    bis.add_argument("--depth-budget", type=_at_least(1), default=64)
+    bis.add_argument("--sample", type=_sample, default="0,1,-1",
                      help="input values used to probe input branching")
     bis.set_defaults(func=_cmd_bisim)
 
     rsp = sub.add_parser("responsive", help="check a program for responsiveness")
     rsp.add_argument("file")
-    rsp.add_argument("--latency-budget", type=int, default=8)
-    rsp.add_argument("--depth-budget", type=int, default=64)
-    rsp.add_argument("--sample", default="0,1,-1")
+    rsp.add_argument("--latency-budget", type=_at_least(1), default=8)
+    rsp.add_argument("--depth-budget", type=_at_least(1), default=64)
+    rsp.add_argument("--sample", type=_sample, default="0,1,-1")
     rsp.set_defaults(func=_cmd_responsive)
 
     par = sub.add_parser("parse", help="parse and pretty-print a program")
@@ -350,7 +376,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except CliError as exc:
+        return _die(str(exc))
     if getattr(args, "interactive", False) and getattr(args, "script", None):
         return _die("--interactive and --script are mutually exclusive")
     try:

@@ -1,7 +1,7 @@
-"""Concrete syntax for While with I/O: lexer, recursive-descent parser,
-pretty-printer, and the variable-name interning table.
+"""Concrete syntax for While with I/O: lexer, parser, pretty-printer, and
+the variable-name interning table.
 
-Grammar (statements):
+Grammar (statements, parsed by recursive descent):
 
     stmt   ::= simple (';' simple)*                     right-associative
     simple ::= 'skip'
@@ -12,9 +12,12 @@ Grammar (statements):
              | 'input' ident
              | 'output' aexp
 
-Expressions: '*' binds tighter than '+'/'-' (all left-associative);
-'not' > 'and' > 'or'; comparisons are 'aexp = aexp' and 'aexp <= aexp';
-parentheses allowed everywhere; '#' starts a line comment.
+Expressions of both sorts are parsed by one operator-precedence routine
+driven by the table _BINARY, which the printer reads too. From loosest to
+tightest: 'or', 'and', prefix 'not', the comparisons '=' and '<=' (whose
+operands are arithmetic), '+' and '-', '*'; binary operators are
+left-associative. Parentheses are allowed everywhere; '#' starts a line
+comment.
 """
 
 from __future__ import annotations
@@ -23,11 +26,11 @@ import re
 from dataclasses import dataclass
 
 from .syntax import (
+    FF,
+    TT,
     Add,
-    AExp,
     And,
     Assign,
-    BExp,
     Eq,
     FalseLit,
     If,
@@ -53,6 +56,25 @@ KEYWORDS = {
     "skip", "if", "then", "else", "fi", "while", "do", "od",
     "repeat", "until", "input", "output", "not", "and", "or", "tt", "ff",
 }
+
+# The two expression sorts, named as an error message names them.
+_A = "an arithmetic expression"
+_B = "a boolean expression"
+
+# binary operator -> (precedence, node class, operand sort, result sort);
+# every binary operator is left-associative, and prefix 'not' binds
+# tighter than 'and' but looser than the comparisons
+_BINARY = {
+    "or": (1, Or, _B, _B),
+    "and": (2, And, _B, _B),
+    "=": (4, Eq, _A, _B),
+    "<=": (4, Le, _A, _B),
+    "+": (5, Add, _A, _A),
+    "-": (5, Sub, _A, _A),
+    "*": (6, Mul, _A, _A),
+}
+_NOT = 3
+_SPELLING = {node: op for op, (_, node, _, _) in _BINARY.items()}
 
 _TOKEN_RE = re.compile(
     r"""
@@ -202,9 +224,9 @@ class _Parser:
             name = self.expect("ident", "a variable name")
             return Input(self.names.intern(name.text))
         if self.accept("output"):
-            return Output(self.aexp())
+            return Output(self.expr(_A))
         if self.accept("if"):
-            cond = self.bexp()
+            cond = self.expr(_B)
             self.expect("then")
             then = self.stmt()
             self.expect("else")
@@ -212,7 +234,7 @@ class _Parser:
             self.expect("fi")
             return If(cond, then, orelse)
         if self.accept("while"):
-            cond = self.bexp()
+            cond = self.expr(_B)
             self.expect("do")
             body = self.stmt()
             self.expect("od")
@@ -220,85 +242,16 @@ class _Parser:
         if self.accept("repeat"):
             body = self.stmt()
             self.expect("until")
-            cond = self.bexp()
+            cond = self.expr(_B)
             # run once, then keep running while the exit condition is false
             return Seq(body, While(Not(cond), body))
         if tok.kind == "ident":
             self.pos += 1
             self.expect(":=")
-            return Assign(self.names.intern(tok.text), self.aexp())
+            return Assign(self.names.intern(tok.text), self.expr(_A))
         self.fail(["a statement"])
 
-    # boolean expressions --------------------------------------------------
-
-    def bexp(self) -> BExp:
-        b = self.band()
-        while self.accept("or"):
-            b = Or(b, self.band())
-        return b
-
-    def band(self) -> BExp:
-        b = self.bnot()
-        while self.accept("and"):
-            b = And(b, self.bnot())
-        return b
-
-    def bnot(self) -> BExp:
-        if self.accept("not"):
-            return Not(self.bnot())
-        return self.batom()
-
-    def batom(self) -> BExp:
-        if self.accept("tt"):
-            return TrueLit()
-        if self.accept("ff"):
-            return FalseLit()
-        # Ambiguity: '(' may open a parenthesized boolean expression or the
-        # arithmetic left operand of a comparison. Try the comparison first
-        # and fall back; report whichever attempt got further.
-        start = self.pos
-        try:
-            left = self.aexp()
-            if self.accept("="):
-                return Eq(left, self.aexp())
-            if self.accept("<="):
-                return Le(left, self.aexp())
-            self.fail(["'='", "'<='"])
-        except ParseError as cmp_err:
-            cmp_pos = self.pos
-            self.pos = start
-            if self.accept("("):
-                try:
-                    b = self.bexp()
-                    self.expect(")")
-                    return b
-                except ParseError as paren_err:
-                    raise paren_err if self.pos >= cmp_pos else cmp_err from None
-            self.pos = start
-            if cmp_pos > start:
-                raise cmp_err
-            raise ParseError(
-                self.peek().line, self.peek().col,
-                ["a boolean expression"], self.peek().text,
-            ) from None
-
-    # arithmetic expressions -----------------------------------------------
-
-    def aexp(self) -> AExp:
-        a = self.term()
-        while True:
-            if self.accept("+"):
-                a = Add(a, self.term())
-            elif self.accept("-"):
-                a = Sub(a, self.term())
-            else:
-                return a
-
-    def term(self) -> AExp:
-        a = self.factor()
-        while self.accept("*"):
-            a = Mul(a, self.factor())
-        return a
+    # expressions --------------------------------------------------------
 
     def number(self, tok: Token) -> int:
         try:
@@ -307,21 +260,77 @@ class _Parser:
             raise ParseError(tok.line, tok.col, ["a shorter number"],
                              f"a {len(tok.text)}-digit number") from None
 
-    def factor(self) -> AExp:
-        tok = self.peek()
-        if self.accept("num"):
-            return NumLit(wrap(self.number(tok)))
-        if self.accept("-"):
-            num = self.expect("num", "a number")
-            return NumLit(wrap(-self.number(num)))
-        if tok.kind == "ident":
+    def expr(self, sort: str):
+        """An expression of the given sort, _A or _B.
+
+        Operator precedence with an explicit operand stack and operator
+        stack, so parentheses and 'not' nest without recursion. An operand
+        is (node, sort, token it starts at). Sorts are checked only when an
+        operator reduces, so a '(' need not decide which sort it opens.
+        """
+        tokens = self.tokens
+        args: list[tuple] = []
+        # (precedence, token) for '(', 'not' and binary operators; a '(' is
+        # 0, below every operator, so no reduction passes it
+        ops: list[tuple] = []
+        while True:
+            # operand position: any prefixes, then one atom
+            tok = tokens[self.pos]
             self.pos += 1
-            return VarRef(self.names.intern(tok.text))
-        if self.accept("("):
-            a = self.aexp()
-            self.expect(")")
-            return a
-        self.fail(["an arithmetic expression"])
+            while tok.kind == "(" or tok.kind == "not":
+                ops.append((0 if tok.kind == "(" else _NOT, tok))
+                tok = tokens[self.pos]
+                self.pos += 1
+            kind = tok.kind
+            if kind == "num":
+                args.append((NumLit(wrap(self.number(tok))), _A, tok))
+            elif kind == "ident":
+                args.append((VarRef(self.names.intern(tok.text)), _A, tok))
+            elif kind == "tt" or kind == "ff":
+                args.append((TT if kind == "tt" else FF, _B, tok))
+            elif kind == "-":
+                num = self.expect("num", "a number")
+                args.append((NumLit(wrap(-self.number(num))), _A, tok))
+            else:
+                self.pos -= 1
+                self.fail(["an expression"])
+            # operator position: reduce what binds tighter than the next
+            # token; anything but a binary operator reduces down to a '('
+            while True:
+                tok = tokens[self.pos]
+                entry = _BINARY.get(tok.kind)
+                prec = entry[0] if entry else 1
+                while ops and ops[-1][0] >= prec:
+                    self.reduce(args, ops.pop()[1])
+                if entry is not None:
+                    ops.append((prec, tok))
+                    self.pos += 1
+                    break
+                if not ops:
+                    return self.check(args.pop(), sort)
+                if tok.kind != ")":
+                    self.fail(["')'"])
+                # the parenthesized operand starts at its '('
+                args[-1] = args[-1][:2] + (ops.pop()[1],)
+                self.pos += 1
+
+    def reduce(self, args: list, op: Token):
+        right = args.pop()
+        if op.kind == "not":
+            args.append((Not(self.check(right, _B)), _B, op))
+            return
+        _, node, arg_sort, result_sort = _BINARY[op.kind]
+        left = args.pop()
+        args.append((node(self.check(left, arg_sort), self.check(right, arg_sort)),
+                     result_sort, left[2]))
+
+    @staticmethod
+    def check(operand: tuple, sort: str):
+        """The operand's node, if it has the given sort."""
+        node, have, tok = operand
+        if have != sort:
+            raise ParseError(tok.line, tok.col, [sort], have)
+        return node
 
 
 def parse(src: str, names: NameTable | None = None) -> tuple[Stmt, NameTable]:
@@ -339,51 +348,28 @@ def parse(src: str, names: NameTable | None = None) -> tuple[Stmt, NameTable]:
 # ---------------------------------------------------------------------------
 # pretty-printer
 
-_ADD, _MUL, _ATOM = 1, 2, 3
-_OR, _AND, _NOT, _BATOM = 1, 2, 3, 4
 
-
-def _pa(a: AExp, names: NameTable, ctx: int) -> str:
-    match a:
-        case NumLit(value=v):
-            return str(v)
-        case VarRef(var=x):
-            return names.name_of(x)
-        case Add(left=l, right=r):
-            text = f"{_pa(l, names, _ADD)} + {_pa(r, names, _ADD + 1)}"
-            prec = _ADD
-        case Sub(left=l, right=r):
-            text = f"{_pa(l, names, _ADD)} - {_pa(r, names, _ADD + 1)}"
-            prec = _ADD
-        case Mul(left=l, right=r):
-            text = f"{_pa(l, names, _MUL)} * {_pa(r, names, _MUL + 1)}"
-            prec = _MUL
-        case _:
-            raise TypeError(repr(a))
-    return f"({text})" if prec < ctx else text
-
-
-def _pb(b: BExp, names: NameTable, ctx: int) -> str:
-    match b:
-        case TrueLit():
-            return "tt"
-        case FalseLit():
-            return "ff"
-        case Eq(left=l, right=r):
-            return f"{_pa(l, names, 0)} = {_pa(r, names, 0)}"
-        case Le(left=l, right=r):
-            return f"{_pa(l, names, 0)} <= {_pa(r, names, 0)}"
-        case Not(operand=x):
-            text = f"not {_pb(x, names, _NOT)}"
-            prec = _NOT
-        case And(left=l, right=r):
-            text = f"{_pb(l, names, _AND)} and {_pb(r, names, _AND + 1)}"
-            prec = _AND
-        case Or(left=l, right=r):
-            text = f"{_pb(l, names, _OR)} or {_pb(r, names, _OR + 1)}"
-            prec = _OR
-        case _:
-            raise TypeError(repr(b))
+def _pe(e, names: NameTable, ctx: int) -> str:
+    """Render an expression of either sort; parenthesize it if it binds
+    looser than ctx, the precedence its position requires."""
+    t = type(e)
+    if t is NumLit:
+        return str(e.value)
+    if t is VarRef:
+        return names.name_of(e.var)
+    if t is TrueLit:
+        return "tt"
+    if t is FalseLit:
+        return "ff"
+    if t is Not:
+        prec, text = _NOT, f"not {_pe(e.operand, names, _NOT)}"
+    elif t in _SPELLING:
+        op = _SPELLING[t]
+        prec = _BINARY[op][0]
+        # left-associative: a right operand of equal precedence needs parentheses
+        text = f"{_pe(e.left, names, prec)} {op} {_pe(e.right, names, prec + 1)}"
+    else:
+        raise TypeError(f"not an expression: {e!r}")
     return f"({text})" if prec < ctx else text
 
 
@@ -402,16 +388,16 @@ def pretty(stmt: Stmt, names: NameTable) -> str:
         case Skip():
             return "skip"
         case Assign(var=x, expr=a):
-            return f"{names.name_of(x)} := {_pa(a, names, 0)}"
+            return f"{names.name_of(x)} := {_pe(a, names, 0)}"
         case If(cond=c, then=a, orelse=b):
             return (
-                f"if {_pb(c, names, 0)} then {pretty(a, names)}"
+                f"if {_pe(c, names, 0)} then {pretty(a, names)}"
                 f" else {pretty(b, names)} fi"
             )
         case While(cond=c, body=a):
-            return f"while {_pb(c, names, 0)} do {pretty(a, names)} od"
+            return f"while {_pe(c, names, 0)} do {pretty(a, names)} od"
         case Input(var=x):
             return f"input {names.name_of(x)}"
         case Output(expr=a):
-            return f"output {_pa(a, names, 0)}"
+            return f"output {_pe(a, names, 0)}"
     raise TypeError(f"not a statement: {stmt!r}")

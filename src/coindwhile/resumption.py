@@ -17,12 +17,14 @@ no state and record None. A trace is a resumption that never does input or
 output: ``trace.Trace`` reads ``("delay", rest, s)`` as ``(s, rest)`` and
 ``("ret", s)`` as ``(s, None)``.
 
-The small-step interpreter ``norm_res`` runs configurations
-``(stmt, context, state)``. The context is the stack of ``Seq`` second
-components still to run, and it is kept from one step to the next
-(refocusing, Danvy & Nielsen 2004), so a step costs the same however deeply
-the running statement sits inside nested sequences. ``red_res`` plugs the
-context back into a statement.
+The big-step interpreter ``eval_res`` compiles a statement once into
+closures in continuation-passing style (``_compile``) that build these
+tuples themselves. The small-step interpreter ``norm_res`` runs
+configurations ``(stmt, context, state)``. The context is the stack of
+``Seq`` second components still to run, and it is kept from one step to the
+next (refocusing, Danvy & Nielsen 2004), so a step costs the same however
+deeply the running statement sits inside nested sequences. ``red_res`` plugs
+the context back into a statement.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .syntax import (
     aexp,
     bexp,
     compile_aexp,
-    compile_stmt,
+    compile_bexp,
 )
 
 
@@ -144,29 +146,74 @@ def eval_res(stmt: Stmt, s: State) -> Res:
     Same delay placement as the pure trace semantics: skip is silent,
     assignment and guard tests each delay once; input/output statements
     perform their action and terminate. Compiled once into CPS code
-    (``compile_stmt``) whose continuation is the rest of the run; this is the
+    (``_compile``) whose continuation is the rest of the run; this is the
     denotation of seque_res and loop_res below, unfolded by associativity of
     sequencing.
     """
-    code = compile_stmt(stmt, _delay, _io)
-    return Res(lambda: code(s, _ret))
+    code = _compile(stmt)
+    return Res(lambda: code(s, lambda s1: ("ret", s1)))
 
 
-def _delay(s: State, rest: Callable[[], tuple]) -> tuple:
-    return ("delay", Res(rest), s)
+# Code: a compiled statement. code(s, k) is the first observation of running
+# it from s and then continuing with k, from its final state.
+Code = Callable[[State, Callable[[State], tuple]], tuple]
 
 
-def _ret(s: State) -> tuple:
-    return ("ret", s)
+def _compile(stmt: Stmt) -> Code:
+    """Compile stmt once into CPS code.
 
+    Skip calls k at once; assignment, if and each guard test emit one delay
+    whose memo cell runs the rest. Sequences are flattened (sequencing is
+    associative and skip is its identity), and a loop's body continues with
+    the loop's own guard test, so the calls between two observations are
+    bounded by the syntax of one statement, not by the depth of the Seq
+    tree or of the loop nest.
+    """
+    t = type(stmt)
+    if t is Seq or t is Skip:
+        parts = []
+        todo = [stmt]
+        while todo:
+            st = todo.pop()
+            if type(st) is Seq:
+                todo.append(st.second)
+                todo.append(st.first)
+            elif type(st) is not Skip:
+                parts.append(_compile(st))
+        if not parts:
+            return lambda s, k: k(s)
+        code = parts.pop()
+        while parts:
+            code = _then(parts.pop(), code)
+        return code
+    if t is Assign:
+        x, e = stmt.var, compile_aexp(stmt.expr)
+        return lambda s, k: ("delay", Res(lambda: k(s.upd(x, e(s)))), s)
+    if t is If:
+        c, a, b = compile_bexp(stmt.cond), _compile(stmt.then), _compile(stmt.orelse)
+        return lambda s, k: ("delay", Res(lambda: a(s, k) if c(s) else b(s, k)), s)
+    if t is While:
+        c, body = compile_bexp(stmt.cond), _compile(stmt.body)
 
-def _io(stmt: Stmt):
-    if type(stmt) is Input:
+        def code(s, k):
+            def loop(s):
+                return ("delay", Res(lambda: body(s, loop) if c(s) else k(s)), s)
+
+            return loop(s)
+
+        return code
+    if t is Input:
         x = stmt.var
         # f may be called any number of times: checkers probe and replay it
         return lambda s, k: ("in", lambda v: Res(lambda: k(s.upd(x, v))))
-    e = compile_aexp(stmt.expr)
-    return lambda s, k: ("out", e(s), Res(lambda: k(s)))
+    if t is Output:
+        e = compile_aexp(stmt.expr)
+        return lambda s, k: ("out", e(s), Res(lambda: k(s)))
+    raise TypeError(f"not a statement: {stmt!r}")
+
+
+def _then(a: Code, b: Code) -> Code:
+    return lambda s, k: a(s, lambda s1: b(s1, k))
 
 
 def seque_res(k: Callable[[State], Res], r: Res) -> Res:

@@ -312,74 +312,6 @@ def compile_bexp(b: BExp) -> Callable[[State], bool]:
     raise TypeError(f"not a boolean expression: {b!r}")
 
 
-# Code: the compiled form of a statement, in continuation-passing style.
-# code(s, k) returns the first observation of running the statement from s
-# and then continuing with k, which maps the final state to the observation
-# that follows. The interpreters supply the observation format:
-# delay(s, rest) builds a silent step at state s whose memo cell forces
-# rest(), and other(stmt) compiles the statements this module does not
-# (input and output), or rejects them.
-Code = Callable[[State, Callable], object]
-
-
-def compile_stmt(
-    stmt: Stmt,
-    delay: Callable[[State, Callable], object],
-    other: Callable[[Stmt], Code],
-) -> Code:
-    """Compile stmt once into CPS code.
-
-    Skip calls k at once; assignment, if and each guard test emit one delay.
-    Sequences are flattened (sequencing is associative and skip is its
-    identity), and a loop's body continues with the loop's own guard test,
-    so the calls between two observations are bounded by the syntax of one
-    statement, not by the depth of the Seq tree or of the loop nest.
-    """
-    t = type(stmt)
-    if t is Seq or t is Skip:
-        parts = []
-        todo = [stmt]
-        while todo:
-            st = todo.pop()
-            if type(st) is Seq:
-                todo.append(st.second)
-                todo.append(st.first)
-            elif type(st) is not Skip:
-                parts.append(compile_stmt(st, delay, other))
-        if not parts:
-            return lambda s, k: k(s)
-        code = parts.pop()
-        while parts:
-            code = _then(parts.pop(), code)
-        return code
-    if t is Assign:
-        x, e = stmt.var, compile_aexp(stmt.expr)
-        return lambda s, k: delay(s, lambda: k(s.upd(x, e(s))))
-    if t is If:
-        c = compile_bexp(stmt.cond)
-        a = compile_stmt(stmt.then, delay, other)
-        b = compile_stmt(stmt.orelse, delay, other)
-        return lambda s, k: delay(s, lambda: a(s, k) if c(s) else b(s, k))
-    if t is While:
-        c = compile_bexp(stmt.cond)
-        body = compile_stmt(stmt.body, delay, other)
-
-        def code(s, k):
-            def loop(s):
-                return delay(s, lambda: body(s, loop) if c(s) else k(s))
-
-            return loop(s)
-
-        return code
-    if t is Input or t is Output:
-        return other(stmt)
-    raise TypeError(f"not a statement: {stmt!r}")
-
-
-def _then(a: Code, b: Code) -> Code:
-    return lambda s, k: a(s, lambda s1: b(s1, k))
-
-
 # ---------------------------------------------------------------------------
 # statement utilities
 

@@ -116,6 +116,23 @@ class TestErrors:
     def test_missing_file(self, capsys):
         assert main(["run", str(PROGRAMS / "nope.whl")]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["run", COUNTER, "--fuel", "x"],
+        ["run"],
+        ["bisim", EMIT, EMIT, "--delay-budget", "0"],
+        ["bisim", EMIT, EMIT, "--depth-budget", "0"],
+        ["responsive", ECHO, "--latency-budget", "0"],
+        ["responsive", ECHO, "--sample="],
+        ["compare", COUNTER, "--fuel", "-1"],
+    ], ids=["fuel-not-an-int", "no-file", "delay-budget-0", "depth-budget-0",
+            "latency-budget-0", "empty-sample", "negative-fuel"])
+    def test_usage_error_is_one_line_exit_1(self, capsys, argv):
+        # exit 2 means the fuel ran out, so a usage error may not use it
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1, captured.err
+
     def test_parse_error_reports_position(self, capsys, tmp_path):
         prog = tmp_path / "bad.whl"
         prog.write_text("skip ;\nwhile tt do skip\n")
@@ -141,9 +158,17 @@ class TestDeepInput:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "nested too deeply" in err
 
-    def test_deep_parentheses_are_an_error_not_a_traceback(self, capsys, tmp_path):
+    def test_deep_parentheses_parse_and_run(self, capsys, tmp_path):
+        # the expression parser keeps parentheses on a stack, not the call stack
         prog = tmp_path / "parens.whl"
         prog.write_text("x := " + "(" * 2000 + "1" + ")" * 2000 + "\n")
+        assert run_cli(capsys, "parse", str(prog)) == (0, ["x := 1"])
+        assert run_cli(capsys, "run", str(prog)) == (0, ["{}", "{x=1}", "ended"])
+
+    def test_deep_while_nest_is_an_error_not_a_traceback(self, capsys, tmp_path):
+        # statements still nest by recursion in the parser
+        prog = tmp_path / "whiles.whl"
+        prog.write_text("while x <= 0 do " * 1000 + "skip" + " od" * 1000 + "\n")
         self.assert_one_line_error(capsys, ["parse", str(prog)])
 
     def test_deep_bisim_budget_is_an_error_not_a_traceback(self, capsys):
@@ -160,6 +185,19 @@ class TestCompare:
         )
         assert status == 0
         assert lines == ["agree up to fuel 512"]
+
+    def test_io_memory_is_flat_in_fuel(self, capsys, tmp_path):
+        prog = tmp_path / "count.whl"
+        prog.write_text("x := 0 ; while tt do x := x + 1 ; output x od\n")
+        tracemalloc.start()
+        try:
+            status = main(["compare", str(prog), "--fuel", "50000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 0
+        assert capsys.readouterr().out == "agree up to fuel 50000\n"
+        assert peak < 1_000_000, f"peak {peak} bytes"
 
 
 class TestBisim:
@@ -187,6 +225,13 @@ class TestBisim:
         a.write_text(src_a + "\n")
         b.write_text(src_b + "\n")
         assert run_cli(capsys, "bisim", str(a), str(b))[0] == status
+
+    def test_witness_states_use_variable_names(self, capsys, tmp_path):
+        a, b = tmp_path / "a.whl", tmp_path / "b.whl"
+        a.write_text("x := 1\n")
+        b.write_text("x := 2\n")
+        status, lines = run_cli(capsys, "bisim", str(a), str(b))
+        assert (status, lines) == (4, ["distinguished: mismatch ret {x=1} vs ret {x=2}"])
 
     def test_budget_exhausted(self, capsys):
         status, lines = run_cli(

@@ -13,7 +13,10 @@ from coindwhile.parse import (
 )
 from coindwhile.syntax import (
     Add,
+    And,
     Assign,
+    Eq,
+    FalseLit,
     If,
     Input,
     Le,
@@ -99,6 +102,20 @@ class TestParse:
             NumLit(2),
         )
 
+    def test_not_binds_looser_than_comparison_tighter_than_and(self):
+        got = ast("while not x = 1 and not (tt and ff) do skip od").cond
+        assert got == And(
+            Not(Eq(VarRef(0), NumLit(1))),
+            Not(And(TrueLit(), FalseLit())),
+        )
+
+    def test_deep_not_chain_parses_without_recursion(self):
+        cond = ast("while " + "not " * 3000 + "tt do skip od").cond
+        for _ in range(3000):
+            assert type(cond) is Not
+            cond = cond.operand
+        assert cond == TrueLit()
+
     def test_name_table_dense_first_appearance(self):
         _, names = parse("y := 1 ; x := y")
         assert names.names == ("y", "x")
@@ -135,6 +152,19 @@ class TestParseErrors:
             parse(f"skip ;\nx := {sign}{'7' * 5000}")
         assert (exc.value.line, exc.value.column) == (2, 6 + len(sign))
         assert exc.value.found == "a 5000-digit number"
+
+    @pytest.mark.parametrize("src, col, expected, found", [
+        ("while x do skip od", 7, "a boolean expression", "an arithmetic expression"),
+        ("x := 1 = 2", 6, "an arithmetic expression", "a boolean expression"),
+        ("x := (1 = 2)", 6, "an arithmetic expression", "a boolean expression"),
+        ("while 1 + tt <= 2 do skip od", 11, "an arithmetic expression",
+         "a boolean expression"),
+    ])
+    def test_sort_error_is_reported_at_its_operand(self, src, col, expected, found):
+        with pytest.raises(ParseError) as exc:
+            parse(src)
+        assert (exc.value.line, exc.value.column) == (1, col)
+        assert (exc.value.expected, exc.value.found) == ([expected], found)
 
     def test_reports_expected_and_found(self):
         with pytest.raises(ParseError) as exc:
