@@ -2,19 +2,6 @@
 interactive-I/O extension: coinductive traces and resumptions, big-step and
 small-step semantics, and fuel-bounded equivalence checkers."""
 
-from .checks import (
-    BisimConfig,
-    BudgetExhausted,
-    Distinguished,
-    EquivalentUpToBounds,
-    LatencyExceeded,
-    ResponsiveUpToBounds,
-    StripResult,
-    delay_bisim,
-    responsive,
-    strip_delays,
-    trace_eq,
-)
 from .parse import NameTable, ParseError, parse, pretty
 from .resumption import (
     Res,
@@ -38,6 +25,30 @@ from .trace import (
     red,
     take,
 )
+
+# the checkers are imported on first use (PEP 562), since only some
+# commands need them and a command line pays for every import it makes
+_FROM_CHECKS = frozenset({
+    "BisimConfig",
+    "BudgetExhausted",
+    "Distinguished",
+    "EquivalentUpToBounds",
+    "LatencyExceeded",
+    "ResponsiveUpToBounds",
+    "StripResult",
+    "delay_bisim",
+    "responsive",
+    "strip_delays",
+    "trace_eq",
+})
+
+
+def __getattr__(name):
+    if name in _FROM_CHECKS:
+        from . import checks
+        return getattr(checks, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BisimConfig",

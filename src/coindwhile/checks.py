@@ -10,66 +10,70 @@ only mean "no counterexample within the bounds".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .resumption import Res
+from .syntax import Record
 from .trace import Trace
 
 
-@dataclass(frozen=True)
-class EquivalentUpToBounds:
-    pass
+class EquivalentUpToBounds(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Distinguished:
+class Distinguished(Record):
     # A path of ("in", v) / ("out", v) / ("delay",) steps leading to the
     # disagreement, closed by ("mismatch", left_head, right_head).
-    witness: tuple
+    __slots__ = __match_args__ = ("witness",)
+
+    def __init__(self, witness: tuple):
+        self.witness = witness
 
 
-@dataclass(frozen=True)
-class BudgetExhausted:
-    budget: str  # "delay" or "depth"
-    path: tuple = ()
+class BudgetExhausted(Record):
+    __slots__ = __match_args__ = ("budget", "path")
+
+    def __init__(self, budget: str, path: tuple = ()):
+        self.budget = budget  # "delay" or "depth"
+        self.path = path
 
 
 Verdict = Union[EquivalentUpToBounds, Distinguished, BudgetExhausted]
 
 
-@dataclass(frozen=True)
-class ResponsiveUpToBounds:
-    pass
+class ResponsiveUpToBounds(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LatencyExceeded:
-    path: tuple
+class LatencyExceeded(Record):
+    __slots__ = __match_args__ = ("path",)
+
+    def __init__(self, path: tuple):
+        self.path = path
 
 
 ResponsiveVerdict = Union[ResponsiveUpToBounds, LatencyExceeded, BudgetExhausted]
 
 
-@dataclass(frozen=True)
-class BisimConfig:
-    delay_budget: int = 16
-    depth_budget: int = 64
-    input_sample: tuple = (0, 1, -1)
+class BisimConfig(Record):
+    __slots__ = __match_args__ = ("delay_budget", "depth_budget", "input_sample")
 
-    def __post_init__(self):
-        if self.delay_budget <= 0 or self.depth_budget <= 0:
+    def __init__(self, delay_budget: int = 16, depth_budget: int = 64,
+                 input_sample: tuple = (0, 1, -1)):
+        if delay_budget <= 0 or depth_budget <= 0:
             raise ValueError("budgets must be positive")
-        if not self.input_sample:
+        if not input_sample:
             raise ValueError("input sample must be nonempty")
+        self.delay_budget = delay_budget
+        self.depth_budget = depth_budget
+        self.input_sample = input_sample
 
 
 # ---------------------------------------------------------------------------
 # delay stripping
 
 
-@dataclass(frozen=True)
-class StripResult:
+class StripResult(Record):
     """Outcome of peeling leading delays off a resumption.
 
     head is ("ret", state) | ("in", f) | ("out", v, rest) | ("still", res),
@@ -77,8 +81,11 @@ class StripResult:
     delaying (res starts with a delay).
     """
 
-    delays_consumed: int
-    head: tuple
+    __slots__ = __match_args__ = ("delays_consumed", "head")
+
+    def __init__(self, delays_consumed: int, head: tuple):
+        self.delays_consumed = delays_consumed
+        self.head = head
 
 
 def strip_delays(r: Res, budget: int) -> StripResult:

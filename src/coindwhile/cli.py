@@ -8,11 +8,13 @@ Exit statuses: 0 ok/agreement, 1 parse or contract error, 2 truncated,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from itertools import zip_longest
 
-from . import checks, parse as parse_mod, resumption, trace
+# checks and json are imported only by the commands that use them
+# (_cmd_compare, _cmd_bisim, _cmd_responsive and _json_dumps): a command
+# line pays for every import it makes, and most commands need neither
+from . import resumption, trace
 from .parse import NameTable, ParseError, parse, pretty
 from .syntax import State, is_pure, wrap
 
@@ -43,15 +45,6 @@ def _load(path: str, names: NameTable | None = None):
 
 class CliError(Exception):
     pass
-
-
-def _parse_vals(text: str) -> list[int]:
-    if not text.strip():
-        return []
-    try:
-        return [wrap(int(part)) for part in text.split(",")]
-    except ValueError:
-        raise CliError(f"bad integer list: {text!r}")
 
 
 def _parse_init(text: str, names: NameTable) -> State:
@@ -85,15 +78,25 @@ def _render_state(state: State, names: NameTable) -> str:
     return "{" + ", ".join(f"{n}={v}" for n, v in pairs) + "}"
 
 
-def _event_line(ev, names: NameTable, as_json: bool) -> str:
+def _json_dumps(args):
+    """json.dumps if --json was given, else None; json is imported only then."""
+    if not args.json:
+        return None
+    import json
+
+    return json.dumps
+
+
+def _event_line(ev, names: NameTable, dumps) -> str:
+    """An event as a line of text, or as a JSON object through dumps."""
     tag = ev[0]
-    if as_json:
+    if dumps is not None:
         obj = {"tag": tag}
         if tag == "in" or tag == "out":
             obj["value"] = ev[1]
         elif tag == "ret":
             obj["state"] = _state_dict(ev[1], names)
-        return json.dumps(obj)
+        return dumps(obj)
     if tag == "in" or tag == "out":
         return f"{tag} {ev[1]}"
     if tag == "ret":
@@ -134,17 +137,18 @@ def _res_for(stmt, init, mode):
 
 
 def _run_states(stmt, names, init, args) -> int:
+    dumps = _json_dumps(args)
     # the program is pure, so its resumption is a trace; trace.walk yields
     # the states, then None if the fuel ran out
     for s in trace.walk(trace.Trace(_res_for(stmt, init, args.mode)), args.fuel):
         if s is None:
             break
-        if args.json:
-            print(json.dumps({"tag": "state", "state": _state_dict(s, names)}))
+        if dumps:
+            print(dumps({"tag": "state", "state": _state_dict(s, names)}))
         else:
             print(_render_state(s, names))
     status = "truncated" if s is None else "ended"
-    print(json.dumps({"tag": status}) if args.json else status)
+    print(dumps({"tag": status}) if dumps else status)
     return EXIT_OK if s is not None else EXIT_TRUNCATED
 
 
@@ -161,17 +165,18 @@ def _input_source(args):
                 except ValueError:
                     print("please enter an integer", file=sys.stderr, flush=True)
         return next_input
-    script = iter(_parse_vals(args.script or ""))
+    script = iter(args.script or ())
     return lambda: next(script, None)
 
 
 def _run_events(stmt, names, init, args) -> int:
     last = "truncated"
+    dumps = _json_dumps(args)
     # the head is not kept: memoized tails would otherwise retain the prefix
     # output is block-buffered, except when a person is typing the inputs
     for ev in resumption.drive(_res_for(stmt, init, args.mode),
                                _input_source(args), args.fuel):
-        print(_event_line(ev, names, args.json), flush=args.interactive)
+        print(_event_line(ev, names, dumps), flush=args.interactive)
         last = ev[0]
     return _EVENT_EXIT.get(last, EXIT_OK)
 
@@ -206,6 +211,8 @@ def _run_summary(stmt, names, init, args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from . import checks
+
     stmt, names = _load(args.file)
     init = _parse_init(args.init, names)
     if is_pure(stmt):
@@ -251,6 +258,8 @@ def _render_path(path, names: NameTable) -> str:
 
 
 def _cmd_bisim(args) -> int:
+    from . import checks
+
     # one name table for both, so that states compare by variable name
     stmt_a, names = _load(args.file_a)
     stmt_b, _ = _load(args.file_b, names)
@@ -273,6 +282,8 @@ def _cmd_bisim(args) -> int:
 
 
 def _cmd_responsive(args) -> int:
+    from . import checks
+
     stmt, names = _load(args.file)
     verdict = checks.responsive(
         resumption.eval_res(stmt, State.empty()),
@@ -318,9 +329,19 @@ def _at_least(least: int):
     return integer
 
 
+def _values(text: str) -> tuple:
+    """An argparse type: a comma-separated list of input values."""
+    if not text.strip():
+        return ()
+    try:
+        return tuple(wrap(int(part)) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"want comma-separated integers, got {text!r}")
+
+
 def _sample(text: str) -> tuple:
     """An argparse type: a nonempty list of input values."""
-    vals = tuple(_parse_vals(text))
+    vals = _values(text)
     if not vals:
         raise argparse.ArgumentTypeError("want at least one input value")
     return vals
@@ -337,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("file")
     run.add_argument("--mode", choices=["big", "small"], default="big")
     run.add_argument("--fuel", type=_at_least(0), default=10000)
-    run.add_argument("--script", help="comma-separated input values")
+    run.add_argument("--script", type=_values, help="comma-separated input values")
     run.add_argument("--interactive", action="store_true",
                      help="read input values from stdin")
     run.add_argument("--emit", choices=["events", "states", "summary"])
@@ -348,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_ = sub.add_parser("compare", help="diff the big- and small-step runs")
     cmp_.add_argument("file")
     cmp_.add_argument("--fuel", type=_at_least(0), default=10000)
-    cmp_.add_argument("--script", help="comma-separated input values")
+    cmp_.add_argument("--script", type=_values, help="comma-separated input values")
     cmp_.add_argument("--init", default="")
     cmp_.set_defaults(func=_cmd_compare)
 

@@ -23,7 +23,6 @@ comment.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .syntax import (
     FF,
@@ -76,25 +75,22 @@ _BINARY = {
 _NOT = 3
 _SPELLING = {node: op for op, (_, node, _, _) in _BINARY.items()}
 
+# One match is one token with the blanks and comments before it; a
+# character that starts no token is a 'bad' token, and 'eof' matches at the
+# end. A token is the tuple (kind, text, offset).
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>[ \t\r]+)
-    | (?P<comment>\#[^\n]*)
-    | (?P<nl>\n)
-    | (?P<num>[0-9]+)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<op>:=|<=|[=+\-*();])
+      (?:[ \t\r\n]+ | \#[^\n]*)*
+      (?:
+          (?P<num>[0-9]+)
+        | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+        | (?P<op>:=|<=|[=+\-*();])
+        | (?P<eof>\Z)
+        | (?P<bad>.)
+      )
     """,
     re.VERBOSE,
 )
-
-
-@dataclass
-class Token:
-    kind: str  # 'num' | 'ident' | keyword or operator spelling | 'eof'
-    text: str
-    line: int
-    col: int
 
 
 class ParseError(Exception):
@@ -149,60 +145,63 @@ class NameTable:
         return tuple(self._names)
 
 
-def tokenize(src: str) -> list[Token]:
+def _position(src: str, offset: int) -> tuple[int, int]:
+    """The 1-based (line, column) of offset in src."""
+    line_start = src.rfind("\n", 0, offset) + 1
+    return src.count("\n", 0, line_start) + 1, offset - line_start + 1
+
+
+def tokenize(src: str) -> list[tuple]:
+    """The tokens of src as (kind, text, offset), ending with an 'eof' token;
+    kind is 'num', 'ident', or the spelling of a keyword or operator."""
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise ParseError(line, col, ["a token"], repr(src[pos]))
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(src):
         kind = m.lastgroup
-        text = m.group()
-        if kind == "nl":
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(text)
-        else:
-            if kind == "ident" and text in KEYWORDS:
-                tokens.append(Token(text, text, line, col))
-            elif kind == "op":
-                tokens.append(Token(text, text, line, col))
-            else:
-                tokens.append(Token(kind, text, line, col))
-            col += len(text)
-        pos = m.end()
-    tokens.append(Token("eof", "<end of input>", line, col))
-    return tokens
+        text = m[kind]
+        if kind == "ident":
+            if text in KEYWORDS:
+                kind = text
+        elif kind == "op":
+            kind = text
+        elif kind == "eof":
+            append(("eof", "<end of input>", len(src)))
+            return tokens
+        elif kind == "bad":
+            raise ParseError(*_position(src, m.start(kind)), ["a token"], repr(text))
+        append((kind, text, m.end() - len(text)))
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], names: NameTable):
-        self.tokens = tokens
+    def __init__(self, src: str, names: NameTable):
+        self.src = src
+        self.tokens = tokenize(src)
         self.pos = 0
         self.names = names
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def error(self, tok: tuple, expected: list[str], found: str):
+        """A ParseError at the start of tok; its position is worked out
+        only now, so that lexing keeps no line or column."""
+        line, col = _position(self.src, tok[2])
+        return ParseError(line, col, expected, found)
 
     def accept(self, kind: str):
-        tok = self.peek()
-        if tok.kind == kind:
+        tok = self.tokens[self.pos]
+        if tok[0] == kind:
             self.pos += 1
             return tok
         return None
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
+    def expect(self, kind: str, what: str | None = None) -> tuple:
         tok = self.accept(kind)
         if tok is None:
-            found = self.peek()
-            raise ParseError(found.line, found.col, [what or repr(kind)], found.text)
+            found = self.tokens[self.pos]
+            raise self.error(found, [what or repr(kind)], found[1])
         return tok
 
     def fail(self, expected: list[str]):
-        tok = self.peek()
-        raise ParseError(tok.line, tok.col, expected, tok.text)
+        tok = self.tokens[self.pos]
+        raise self.error(tok, expected, tok[1])
 
     # statements -----------------------------------------------------------
 
@@ -217,12 +216,12 @@ class _Parser:
         return stmt
 
     def simple_stmt(self) -> Stmt:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if self.accept("skip"):
             return Skip()
         if self.accept("input"):
             name = self.expect("ident", "a variable name")
-            return Input(self.names.intern(name.text))
+            return Input(self.names.intern(name[1]))
         if self.accept("output"):
             return Output(self.expr(_A))
         if self.accept("if"):
@@ -245,20 +244,20 @@ class _Parser:
             cond = self.expr(_B)
             # run once, then keep running while the exit condition is false
             return Seq(body, While(Not(cond), body))
-        if tok.kind == "ident":
+        if tok[0] == "ident":
             self.pos += 1
             self.expect(":=")
-            return Assign(self.names.intern(tok.text), self.expr(_A))
+            return Assign(self.names.intern(tok[1]), self.expr(_A))
         self.fail(["a statement"])
 
     # expressions --------------------------------------------------------
 
-    def number(self, tok: Token) -> int:
+    def number(self, tok: tuple) -> int:
         try:
-            return int(tok.text)
+            return int(tok[1])
         except ValueError:  # longer than the interpreter's int conversion limit
-            raise ParseError(tok.line, tok.col, ["a shorter number"],
-                             f"a {len(tok.text)}-digit number") from None
+            raise self.error(tok, ["a shorter number"],
+                             f"a {len(tok[1])}-digit number") from None
 
     def expr(self, sort: str):
         """An expression of the given sort, _A or _B.
@@ -277,15 +276,16 @@ class _Parser:
             # operand position: any prefixes, then one atom
             tok = tokens[self.pos]
             self.pos += 1
-            while tok.kind == "(" or tok.kind == "not":
-                ops.append((0 if tok.kind == "(" else _NOT, tok))
+            kind = tok[0]
+            while kind == "(" or kind == "not":
+                ops.append((0 if kind == "(" else _NOT, tok))
                 tok = tokens[self.pos]
                 self.pos += 1
-            kind = tok.kind
+                kind = tok[0]
             if kind == "num":
                 args.append((NumLit(wrap(self.number(tok))), _A, tok))
             elif kind == "ident":
-                args.append((VarRef(self.names.intern(tok.text)), _A, tok))
+                args.append((VarRef(self.names.intern(tok[1])), _A, tok))
             elif kind == "tt" or kind == "ff":
                 args.append((TT if kind == "tt" else FF, _B, tok))
             elif kind == "-":
@@ -298,7 +298,7 @@ class _Parser:
             # token; anything but a binary operator reduces down to a '('
             while True:
                 tok = tokens[self.pos]
-                entry = _BINARY.get(tok.kind)
+                entry = _BINARY.get(tok[0])
                 prec = entry[0] if entry else 1
                 while ops and ops[-1][0] >= prec:
                     self.reduce(args, ops.pop()[1])
@@ -308,28 +308,27 @@ class _Parser:
                     break
                 if not ops:
                     return self.check(args.pop(), sort)
-                if tok.kind != ")":
+                if tok[0] != ")":
                     self.fail(["')'"])
                 # the parenthesized operand starts at its '('
                 args[-1] = args[-1][:2] + (ops.pop()[1],)
                 self.pos += 1
 
-    def reduce(self, args: list, op: Token):
+    def reduce(self, args: list, op: tuple):
         right = args.pop()
-        if op.kind == "not":
+        if op[0] == "not":
             args.append((Not(self.check(right, _B)), _B, op))
             return
-        _, node, arg_sort, result_sort = _BINARY[op.kind]
+        _, node, arg_sort, result_sort = _BINARY[op[0]]
         left = args.pop()
         args.append((node(self.check(left, arg_sort), self.check(right, arg_sort)),
                      result_sort, left[2]))
 
-    @staticmethod
-    def check(operand: tuple, sort: str):
+    def check(self, operand: tuple, sort: str):
         """The operand's node, if it has the given sort."""
         node, have, tok = operand
         if have != sort:
-            raise ParseError(tok.line, tok.col, [sort], have)
+            raise self.error(tok, [sort], have)
         return node
 
 
@@ -339,7 +338,7 @@ def parse(src: str, names: NameTable | None = None) -> tuple[Stmt, NameTable]:
     Variables are interned into names, a fresh table unless one is given;
     programs parsed into one table number their variables alike.
     """
-    p = _Parser(tokenize(src), NameTable() if names is None else names)
+    p = _Parser(src, NameTable() if names is None else names)
     stmt = p.stmt()
     p.expect("eof", "end of input")
     return stmt, p.names

@@ -29,7 +29,6 @@ the context back into a statement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
 from .syntax import (
@@ -38,6 +37,7 @@ from .syntax import (
     If,
     Input,
     Output,
+    Record,
     Seq,
     Skip,
     State,
@@ -276,28 +276,36 @@ def loopseq_res(k: Callable[[State], Res], p: Callable[[State], bool], r: Res) -
 # small-step interpreter
 
 
-@dataclass(frozen=True)
-class LRet:
-    state: State
+class LRet(Record):
+    __slots__ = __match_args__ = ("state",)
+
+    def __init__(self, state: State):
+        self.state = state
 
 
-@dataclass(frozen=True)
-class LIn:
-    stmt: Stmt
-    update: Callable[[Val], State]
+class LIn(Record):
+    __slots__ = __match_args__ = ("stmt", "update")
+
+    def __init__(self, stmt: Stmt, update: Callable[[Val], State]):
+        self.stmt = stmt
+        self.update = update
 
 
-@dataclass(frozen=True)
-class LOut:
-    value: Val
-    stmt: Stmt
-    state: State
+class LOut(Record):
+    __slots__ = __match_args__ = ("value", "stmt", "state")
+
+    def __init__(self, value: Val, stmt: Stmt, state: State):
+        self.value = value
+        self.stmt = stmt
+        self.state = state
 
 
-@dataclass(frozen=True)
-class LDelay:
-    stmt: Stmt
-    state: State
+class LDelay(Record):
+    __slots__ = __match_args__ = ("stmt", "state")
+
+    def __init__(self, stmt: Stmt, state: State):
+        self.stmt = stmt
+        self.state = state
 
 
 # Lconf: the labeled outcome of one small step of I/O While.

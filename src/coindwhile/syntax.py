@@ -1,9 +1,9 @@
 """Abstract syntax, states, and expression evaluation for the While language
-(with input/output statements)."""
+(with input/output statements), and the slotted record base classes that
+the syntax nodes, configurations and verdicts share."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Union
 
 # Variables are interned non-negative indices (the parser owns the
@@ -21,35 +21,107 @@ def wrap(n: int) -> Val:
 
 
 # ---------------------------------------------------------------------------
+# records and syntax nodes
+
+
+class Record:
+    """An immutable record: its fields are named by ``__match_args__`` and
+    stored in ``__slots__``. Equality is structural, the repr lists the
+    fields by keyword, and ``match`` patterns work positionally.
+
+    Fields are set once, in ``__init__``, by plain slot assignment; nothing
+    assigns them later. That is a contract, not a guard: a ``__setattr__``
+    that refused assignment would slow every construction down.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        # an explicit stack of field pairs, so deep trees compare without
+        # recursion; syntax nodes compare their cached hashes first
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a is b:
+                continue
+            if not isinstance(a, Record):
+                if a != b:
+                    return False
+            elif type(a) is not type(b) or (isinstance(a, Node) and a._hash != b._hash):
+                return False
+            else:
+                todo.extend((getattr(a, f), getattr(b, f)) for f in a.__match_args__)
+        return True
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, f) for f in self.__match_args__))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, so that a node's cached
+        # hash is that of the process it lands in
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+
+class Node(Record):
+    """A syntax node. Its hash is computed once, in ``__init__``, from its
+    children's cached hashes (``var`` and ``value`` fields are hashed as
+    the ints they are), so hashing a node is O(1) however deep it is."""
+
+    __slots__ = ("_hash",)
+
+    def __init__(self):
+        self._hash = hash(type(self))
+
+    def __hash__(self):
+        return self._hash
+
+
+class _Binary(Node):
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
+        self._hash = hash((type(self), left._hash, right._hash))
+
+
+# ---------------------------------------------------------------------------
 # arithmetic expressions
 
 
-@dataclass(frozen=True, slots=True)
-class NumLit:
-    value: Val
+class NumLit(Node):
+    __slots__ = __match_args__ = ("value",)
+
+    def __init__(self, value: Val):
+        self.value = value
+        self._hash = hash((NumLit, value))
 
 
-@dataclass(frozen=True, slots=True)
-class VarRef:
-    var: Var
+class VarRef(Node):
+    __slots__ = __match_args__ = ("var",)
+
+    def __init__(self, var: Var):
+        self.var = var
+        self._hash = hash((VarRef, var))
 
 
-@dataclass(frozen=True, slots=True)
-class Add:
-    left: "AExp"
-    right: "AExp"
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Sub:
-    left: "AExp"
-    right: "AExp"
+class Sub(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Mul:
-    left: "AExp"
-    right: "AExp"
+class Mul(_Binary):
+    __slots__ = ()
 
 
 AExp = Union[NumLit, VarRef, Add, Sub, Mul]
@@ -59,43 +131,36 @@ AExp = Union[NumLit, VarRef, Add, Sub, Mul]
 # boolean expressions
 
 
-@dataclass(frozen=True, slots=True)
-class TrueLit:
-    pass
+class TrueLit(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class FalseLit:
-    pass
+class FalseLit(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Eq:
-    left: AExp
-    right: AExp
+class Eq(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Le:
-    left: AExp
-    right: AExp
+class Le(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Not:
-    operand: "BExp"
+class Not(Node):
+    __slots__ = __match_args__ = ("operand",)
+
+    def __init__(self, operand: "BExp"):
+        self.operand = operand
+        self._hash = hash((Not, operand._hash))
 
 
-@dataclass(frozen=True, slots=True)
-class And:
-    left: "BExp"
-    right: "BExp"
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Or:
-    left: "BExp"
-    right: "BExp"
+class Or(_Binary):
+    __slots__ = ()
 
 
 BExp = Union[TrueLit, FalseLit, Eq, Le, Not, And, Or]
@@ -108,44 +173,61 @@ FF = FalseLit()
 # statements
 
 
-@dataclass(frozen=True, slots=True)
-class Skip:
-    pass
+class Skip(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Seq:
-    first: "Stmt"
-    second: "Stmt"
+class Seq(Node):
+    __slots__ = __match_args__ = ("first", "second")
+
+    def __init__(self, first: "Stmt", second: "Stmt"):
+        self.first = first
+        self.second = second
+        self._hash = hash((Seq, first._hash, second._hash))
 
 
-@dataclass(frozen=True, slots=True)
-class Assign:
-    var: Var
-    expr: AExp
+class Assign(Node):
+    __slots__ = __match_args__ = ("var", "expr")
+
+    def __init__(self, var: Var, expr: AExp):
+        self.var = var
+        self.expr = expr
+        self._hash = hash((Assign, var, expr._hash))
 
 
-@dataclass(frozen=True, slots=True)
-class If:
-    cond: BExp
-    then: "Stmt"
-    orelse: "Stmt"
+class If(Node):
+    __slots__ = __match_args__ = ("cond", "then", "orelse")
+
+    def __init__(self, cond: BExp, then: "Stmt", orelse: "Stmt"):
+        self.cond = cond
+        self.then = then
+        self.orelse = orelse
+        self._hash = hash((If, cond._hash, then._hash, orelse._hash))
 
 
-@dataclass(frozen=True, slots=True)
-class While:
-    cond: BExp
-    body: "Stmt"
+class While(Node):
+    __slots__ = __match_args__ = ("cond", "body")
+
+    def __init__(self, cond: BExp, body: "Stmt"):
+        self.cond = cond
+        self.body = body
+        self._hash = hash((While, cond._hash, body._hash))
 
 
-@dataclass(frozen=True, slots=True)
-class Input:
-    var: Var
+class Input(Node):
+    __slots__ = __match_args__ = ("var",)
+
+    def __init__(self, var: Var):
+        self.var = var
+        self._hash = hash((Input, var))
 
 
-@dataclass(frozen=True, slots=True)
-class Output:
-    expr: AExp
+class Output(Node):
+    __slots__ = __match_args__ = ("expr",)
+
+    def __init__(self, expr: AExp):
+        self.expr = expr
+        self._hash = hash((Output, expr._hash))
 
 
 Stmt = Union[Skip, Seq, Assign, If, While, Input, Output]

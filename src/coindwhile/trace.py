@@ -15,12 +15,11 @@ module only checks that a program is pure and changes the point of view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from .resumption import Res, _plug, _red, eval_res, norm_res
 from .resumption import loop_res, loopseq_res, seque_res
-from .syntax import State, Stmt, is_pure
+from .syntax import Record, State, Stmt, is_pure
 
 
 class ImpureProgramError(ValueError):
@@ -53,13 +52,15 @@ class Trace:
         return Trace(Res.delay(tail._res, s))
 
 
-@dataclass(frozen=True)
-class TracePrefix:
+class TracePrefix(Record):
     """A finite observation of a trace: the states seen, and whether the
     trace actually ended or the fuel ran out first."""
 
-    states: tuple
-    ended: bool
+    __slots__ = __match_args__ = ("states", "ended")
+
+    def __init__(self, states: tuple, ended: bool):
+        self.states = states
+        self.ended = ended
 
     @property
     def status(self) -> str:

@@ -116,22 +116,26 @@ class TestErrors:
     def test_missing_file(self, capsys):
         assert main(["run", str(PROGRAMS / "nope.whl")]) == 1
 
-    @pytest.mark.parametrize("argv", [
-        ["run", COUNTER, "--fuel", "x"],
-        ["run"],
-        ["bisim", EMIT, EMIT, "--delay-budget", "0"],
-        ["bisim", EMIT, EMIT, "--depth-budget", "0"],
-        ["responsive", ECHO, "--latency-budget", "0"],
-        ["responsive", ECHO, "--sample="],
-        ["compare", COUNTER, "--fuel", "-1"],
+    @pytest.mark.parametrize("argv, names", [
+        (["run", COUNTER, "--fuel", "x"], "argument --fuel"),
+        (["run"], "file"),
+        (["bisim", EMIT, EMIT, "--delay-budget", "0"], "argument --delay-budget"),
+        (["bisim", EMIT, EMIT, "--depth-budget", "0"], "argument --depth-budget"),
+        (["responsive", ECHO, "--latency-budget", "0"], "argument --latency-budget"),
+        (["responsive", ECHO, "--sample="], "argument --sample"),
+        (["compare", COUNTER, "--fuel", "-1"], "argument --fuel"),
+        (["bisim", EMIT, EMIT, "--sample", "x"], "argument --sample"),
+        (["run", ECHO, "--script", "1,x"], "argument --script"),
     ], ids=["fuel-not-an-int", "no-file", "delay-budget-0", "depth-budget-0",
-            "latency-budget-0", "empty-sample", "negative-fuel"])
-    def test_usage_error_is_one_line_exit_1(self, capsys, argv):
+            "latency-budget-0", "empty-sample", "negative-fuel", "sample-not-ints",
+            "script-not-ints"])
+    def test_usage_error_is_one_line_exit_1(self, capsys, argv, names):
         # exit 2 means the fuel ran out, so a usage error may not use it
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1, captured.err
+        assert names in captured.err
 
     def test_parse_error_reports_position(self, capsys, tmp_path):
         prog = tmp_path / "bad.whl"
@@ -267,6 +271,22 @@ class TestParseCommand:
         status, lines2 = run_cli(capsys, "parse", str(again))
         assert status == 0
         assert lines2 == lines
+
+
+class TestStartUp:
+    def test_import_loads_neither_checks_nor_dataclasses(self):
+        # what a command line imports, it pays for on every run
+        code = (
+            "import sys, coindwhile.cli\n"
+            "print(sorted({'dataclasses', 'inspect', 'coindwhile.checks'}"
+            " & set(sys.modules)))\n"
+            "from coindwhile import delay_bisim, BisimConfig\n"
+            "print(delay_bisim.__module__, BisimConfig().depth_budget)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "coindwhile.checks 64"]
 
 
 class TestInteractive:

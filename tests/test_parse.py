@@ -145,6 +145,14 @@ class TestParseErrors:
         assert exc.value.line == 2
         assert exc.value.column == 7  # the '!' after two spaces and 'oops'
 
+    def test_position_counts_comments_and_tabs_as_columns(self):
+        with pytest.raises(ParseError) as exc:
+            parse("skip ; # a comment ; with ; tokens\nx := 1 ;\n\ty := $")
+        assert (exc.value.line, exc.value.column) == (3, 7)
+        with pytest.raises(ParseError) as exc:
+            parse("skip ;\r\n# x := 1\n\t\tx := (1 ; skip")
+        assert (exc.value.line, exc.value.column) == (3, 11)
+
     @pytest.mark.parametrize("sign", ["", "-"])
     def test_oversized_literal_names_its_position(self, sign):
         # longer than CPython's int conversion limit (4,300 digits)

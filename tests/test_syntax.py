@@ -1,7 +1,11 @@
 """States, expression evaluation, and the wrap-around value domain."""
 
+import pickle
 import random
+import subprocess
+import sys
 
+import pytest
 from hypothesis import given, strategies as st
 
 from coindwhile.syntax import (
@@ -33,6 +37,8 @@ from coindwhile.syntax import (
     variables,
     wrap,
 )
+
+from coindwhile.parse import parse
 
 from gen import gen_aexp, gen_bexp, gen_state
 
@@ -181,6 +187,28 @@ class TestStmtUtils:
             stmt = Seq(stmt, Assign(0, NumLit(1)))
         assert is_pure(stmt)
         assert not is_pure(Seq(stmt, Input(0)))
+
+    @pytest.mark.parametrize("src", [
+        " ;\n".join(["x := 1"] * 5000),
+        "x := " + "+".join(["1"] * 3000),
+    ], ids=["seq-chain-5000", "flat-sum-3000"])
+    def test_deep_trees_hash_and_compare_without_recursion(self, src):
+        a, _ = parse(src)
+        b, _ = parse(src)
+        assert a is not b
+        assert hash(a) == hash(b) and a == b
+        c, _ = parse(src[:-1] + "2")
+        assert a != c
+
+    def test_pickled_node_equals_in_another_process(self):
+        # a node's hash mixes in its class, whose hash differs per process
+        src = "while not x <= 3 do x := x + 1 ; output x * 2 od"
+        code = f"import pickle, sys; from coindwhile.parse import parse; " \
+               f"sys.stdout.write(pickle.dumps(parse({src!r})[0]).hex())"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=30, check=True).stdout
+        node = pickle.loads(bytes.fromhex(out))
+        assert node == parse(src)[0] and hash(node) == hash(parse(src)[0])
 
     def test_variables(self):
         stmt = Seq(Assign(0, VarRef(2)), Output(VarRef(1)))
