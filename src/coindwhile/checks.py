@@ -10,8 +10,6 @@ only mean "no counterexample within the bounds".
 
 from __future__ import annotations
 
-from typing import Union
-
 from .resumption import Res
 from .syntax import Record
 from .trace import Trace
@@ -38,7 +36,7 @@ class BudgetExhausted(Record):
         self.path = path
 
 
-Verdict = Union[EquivalentUpToBounds, Distinguished, BudgetExhausted]
+Verdict = EquivalentUpToBounds | Distinguished | BudgetExhausted
 
 
 class ResponsiveUpToBounds(Record):
@@ -52,7 +50,7 @@ class LatencyExceeded(Record):
         self.path = path
 
 
-ResponsiveVerdict = Union[ResponsiveUpToBounds, LatencyExceeded, BudgetExhausted]
+ResponsiveVerdict = ResponsiveUpToBounds | LatencyExceeded | BudgetExhausted
 
 
 class BisimConfig(Record):

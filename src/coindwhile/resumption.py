@@ -17,19 +17,20 @@ no state and record None. A trace is a resumption that never does input or
 output: ``trace.Trace`` reads ``("delay", rest, s)`` as ``(s, rest)`` and
 ``("ret", s)`` as ``(s, None)``.
 
-The big-step interpreter ``eval_res`` compiles a statement once into
-closures in continuation-passing style (``_compile``) that build these
-tuples themselves. The small-step interpreter ``norm_res`` runs
-configurations ``(stmt, context, state)``. The context is the stack of
-``Seq`` second components still to run, and it is kept from one step to the
-next (refocusing, Danvy & Nielsen 2004), so a step costs the same however
-deeply the running statement sits inside nested sequences. ``red_res`` plugs
-the context back into a statement.
+The big-step interpreter ``eval_res`` runs closures in continuation-passing
+style (``_compile``) that build these tuples themselves. Each statement is
+compiled on first entry, so a run compiles only what it reaches. The
+small-step interpreter ``norm_res`` runs configurations
+``(stmt, context, state)``. The context is the stack of ``Seq`` second
+components still to run, and it is kept from one step to the next
+(refocusing, Danvy & Nielsen 2004), so a step costs the same however deeply
+the running statement sits inside nested sequences. ``red_res`` plugs the
+context back into a statement.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Optional
+from collections.abc import Callable, Iterable, Iterator
 
 from .syntax import (
     SKIP,
@@ -87,7 +88,7 @@ class Res:
         return Res._of(("out", v, rest))
 
     @staticmethod
-    def delay(rest: "Res", s: Optional[State] = None) -> "Res":
+    def delay(rest: "Res", s: State | None = None) -> "Res":
         return Res._of(("delay", rest, s))
 
     @staticmethod
@@ -140,18 +141,30 @@ def echo_div() -> Res:
 # big-step interpreter
 
 
+# A context is None or (second, context): the Seq second components still to
+# run, innermost first. Both interpreters walk sequences with it. It is a
+# persistent linked stack, so configurations (stmt, context, state) share
+# their tails and one small step allocates no Seq.
+Context = tuple | None
+
+
 def eval_res(stmt: Stmt, s: State) -> Res:
     """Big-step resumption semantics of While with I/O.
 
     Same delay placement as the pure trace semantics: skip is silent,
     assignment and guard tests each delay once; input/output statements
-    perform their action and terminate. Compiled once into CPS code
-    (``_compile``) whose continuation is the rest of the run; this is the
-    denotation of seque_res and loop_res below, unfolded by associativity of
-    sequencing.
+    perform their action and terminate. Runs CPS code (``_compile``) whose
+    continuation is the rest of the run; this is the denotation of seque_res
+    and loop_res below, unfolded by associativity of sequencing. Each
+    statement is compiled on first entry, so a run pays only for the
+    statements it reaches, and a malformed node raises ``TypeError`` when
+    the run reaches it, not before.
     """
-    code = _compile(stmt)
-    return Res(lambda: code(s, lambda s1: ("ret", s1)))
+    return Res(lambda: _compile(stmt)(s, _ret))
+
+
+def _ret(s: State) -> tuple:
+    return ("ret", s)
 
 
 # Code: a compiled statement. code(s, k) is the first observation of running
@@ -159,41 +172,70 @@ def eval_res(stmt: Stmt, s: State) -> Res:
 Code = Callable[[State, Callable[[State], tuple]], tuple]
 
 
-def _compile(stmt: Stmt) -> Code:
-    """Compile stmt once into CPS code.
+def _skip(s: State, k: Callable[[State], tuple]) -> tuple:
+    return k(s)
 
-    Skip calls k at once; assignment, if and each guard test emit one delay
-    whose memo cell runs the rest. Sequences are flattened (sequencing is
-    associative and skip is its identity), and a loop's body continues with
-    the loop's own guard test, so the calls between two observations are
-    bounded by the syntax of one statement, not by the depth of the Seq
-    tree or of the loop nest.
+
+def _first(stmt: Stmt, ctx: Context) -> tuple | None:
+    """The first statement of the configuration (stmt, ctx) that is neither
+    a Seq nor a Skip, with the context after it; None if it only skips."""
+    while True:
+        t = type(stmt)
+        if t is Seq:
+            ctx = (stmt.second, ctx)
+            stmt = stmt.first
+        elif t is not Skip:
+            return stmt, ctx
+        elif ctx is None:
+            return None
+        else:
+            stmt, ctx = ctx
+
+
+def _compile(stmt: Stmt, ctx: Context = None) -> Code:
+    """CPS code for the configuration (stmt, ctx).
+
+    Only the first statement to run is compiled now: its guard or its
+    expression. Each part that runs later (the branches of an if, a loop
+    body, the rest of the sequence) starts as a stub that compiles it when
+    first called and rebinds the variable its parent reads, so later calls
+    go straight to compiled code and nothing here recurses. Skip calls k at
+    once; assignment, if and each guard test emit one delay whose memo cell
+    runs the rest. Sequences are walked on the context stack, as in _red
+    (sequencing is associative and skip is its identity), and a loop's body
+    continues with the loop's own guard test, so the calls between two
+    observations are bounded by the syntax of one statement, not by the
+    depth of the Seq tree or of the loop nest.
     """
+    first = _first(stmt, ctx)
+    if first is None:
+        return _skip
+    stmt, ctx = first
     t = type(stmt)
-    if t is Seq or t is Skip:
-        parts = []
-        todo = [stmt]
-        while todo:
-            st = todo.pop()
-            if type(st) is Seq:
-                todo.append(st.second)
-                todo.append(st.first)
-            elif type(st) is not Skip:
-                parts.append(_compile(st))
-        if not parts:
-            return lambda s, k: k(s)
-        code = parts.pop()
-        while parts:
-            code = _then(parts.pop(), code)
-        return code
     if t is Assign:
         x, e = stmt.var, compile_aexp(stmt.expr)
-        return lambda s, k: ("delay", Res(lambda: k(s.upd(x, e(s)))), s)
-    if t is If:
-        c, a, b = compile_bexp(stmt.cond), _compile(stmt.then), _compile(stmt.orelse)
-        return lambda s, k: ("delay", Res(lambda: a(s, k) if c(s) else b(s, k)), s)
-    if t is While:
-        c, body = compile_bexp(stmt.cond), _compile(stmt.body)
+        code = lambda s, k: ("delay", Res(lambda: k(s.upd(x, e(s)))), s)
+    elif t is If:
+        c, then, orelse = compile_bexp(stmt.cond), stmt.then, stmt.orelse
+
+        def a(s, k):
+            nonlocal a
+            a = _compile(then)
+            return a(s, k)
+
+        def b(s, k):
+            nonlocal b
+            b = _compile(orelse)
+            return b(s, k)
+
+        code = lambda s, k: ("delay", Res(lambda: a(s, k) if c(s) else b(s, k)), s)
+    elif t is While:
+        c, inner = compile_bexp(stmt.cond), stmt.body
+
+        def body(s, k):
+            nonlocal body
+            body = _compile(inner)
+            return body(s, k)
 
         def code(s, k):
             def loop(s):
@@ -201,19 +243,27 @@ def _compile(stmt: Stmt) -> Code:
 
             return loop(s)
 
-        return code
-    if t is Input:
+    elif t is Input:
         x = stmt.var
         # f may be called any number of times: checkers probe and replay it
-        return lambda s, k: ("in", lambda v: Res(lambda: k(s.upd(x, v))))
-    if t is Output:
+        code = lambda s, k: ("in", lambda v: Res(lambda: k(s.upd(x, v))))
+    elif t is Output:
         e = compile_aexp(stmt.expr)
-        return lambda s, k: ("out", e(s), Res(lambda: k(s)))
-    raise TypeError(f"not a statement: {stmt!r}")
+        code = lambda s, k: ("out", e(s), Res(lambda: k(s)))
+    else:
+        raise TypeError(f"not a statement: {stmt!r}")
+    # look past the Skips after stmt: code that ends a run must call k
+    # itself, or each nesting level would add a frame to the final k chain
+    after = None if ctx is None else _first(*ctx)
+    if after is None:
+        return code
 
+    def rest(s, k):
+        nonlocal rest
+        rest = _compile(*after)
+        return rest(s, k)
 
-def _then(a: Code, b: Code) -> Code:
-    return lambda s, k: a(s, lambda s1: b(s1, k))
+    return lambda s, k: code(s, lambda s1: rest(s1, k))
 
 
 def seque_res(k: Callable[[State], Res], r: Res) -> Res:
@@ -312,12 +362,6 @@ class LDelay(Record):
 Lconf = LRet | LIn | LOut | LDelay
 
 
-# A context is None or (second, context): the Seq second components still to
-# run, innermost first. It is a persistent linked stack, so configurations
-# (stmt, context, state) share their tails and one step allocates no Seq.
-Context = Optional[tuple]
-
-
 def _red(stmt: Stmt, k: Context, s: State) -> tuple:
     """One labeled small step of the configuration (stmt, k, s), as a
     tagged tuple:
@@ -411,7 +455,7 @@ def _norm(stmt: Stmt, k: Context, s: State) -> Res:
 Event = tuple
 
 
-def drive(r: Res, next_input: Callable[[], Optional[Val]], fuel: int) -> Iterator[Event]:
+def drive(r: Res, next_input: Callable[[], Val | None], fuel: int) -> Iterator[Event]:
     """Yield the events of running r; next_input() supplies input values
     (None meaning no more input). Every delay, in, and out consumes one
     fuel; a terminal event always closes the stream."""

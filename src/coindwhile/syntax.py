@@ -4,7 +4,7 @@ the syntax nodes, configurations and verdicts share."""
 
 from __future__ import annotations
 
-from typing import Callable, Union
+from collections.abc import Callable
 
 # Variables are interned non-negative indices (the parser owns the
 # name <-> index table); values are signed 64-bit integers.
@@ -60,8 +60,23 @@ class Record:
         return hash(tuple(getattr(self, f) for f in self.__match_args__))
 
     def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
-        return f"{type(self).__qualname__}({fields})"
+        # an explicit stack of records still to print and of text already
+        # made, so deep trees print without recursion
+        out = []
+        todo = [self]
+        while todo:
+            r = todo.pop()
+            if type(r) is str:
+                out.append(r)
+                continue
+            parts = [f"{type(r).__qualname__}("]
+            for i, f in enumerate(r.__match_args__):
+                v = getattr(r, f)
+                parts.append(f"{', ' if i else ''}{f}=")
+                parts.append(v if isinstance(v, Record) else repr(v))
+            parts.append(")")
+            todo.extend(reversed(parts))
+        return "".join(out)
 
     def __reduce__(self):
         # pickle and copy rebuild through __init__, so that a node's cached
@@ -124,7 +139,7 @@ class Mul(_Binary):
     __slots__ = ()
 
 
-AExp = Union[NumLit, VarRef, Add, Sub, Mul]
+AExp = NumLit | VarRef | Add | Sub | Mul
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +178,7 @@ class Or(_Binary):
     __slots__ = ()
 
 
-BExp = Union[TrueLit, FalseLit, Eq, Le, Not, And, Or]
+BExp = TrueLit | FalseLit | Eq | Le | Not | And | Or
 
 TT = TrueLit()
 FF = FalseLit()
@@ -230,7 +245,7 @@ class Output(Node):
         self._hash = hash((Output, expr._hash))
 
 
-Stmt = Union[Skip, Seq, Assign, If, While, Input, Output]
+Stmt = Skip | Seq | Assign | If | While | Input | Output
 
 SKIP = Skip()
 
@@ -417,58 +432,51 @@ def is_pure(stmt: Stmt) -> bool:
     return True
 
 
+# the node types whose fields are all child nodes, and those with no field
+# that holds a node or a variable
+_INNER = frozenset((Add, Sub, Mul, Eq, Le, Not, And, Or, Seq, If, While, Output))
+_LEAVES = frozenset((NumLit, TrueLit, FalseLit, Skip))
+
+
 def map_variables(stmt: Stmt, f: Callable[[Var], Var]) -> Stmt:
-    """Rebuild stmt with every variable index replaced by f(index)."""
-
-    def ma(a: AExp) -> AExp:
-        match a:
-            case NumLit():
-                return a
-            case VarRef(var=x):
-                return VarRef(f(x))
-            case Add(left=l, right=r):
-                return Add(ma(l), ma(r))
-            case Sub(left=l, right=r):
-                return Sub(ma(l), ma(r))
-            case Mul(left=l, right=r):
-                return Mul(ma(l), ma(r))
-        raise TypeError(repr(a))
-
-    def mb(b: BExp) -> BExp:
-        match b:
-            case TrueLit() | FalseLit():
-                return b
-            case Eq(left=l, right=r):
-                return Eq(ma(l), ma(r))
-            case Le(left=l, right=r):
-                return Le(ma(l), ma(r))
-            case Not(operand=x):
-                return Not(mb(x))
-            case And(left=l, right=r):
-                return And(mb(l), mb(r))
-            case Or(left=l, right=r):
-                return Or(mb(l), mb(r))
-        raise TypeError(repr(b))
-
-    def ms(st: Stmt) -> Stmt:
-        match st:
-            case Skip():
-                return st
-            case Seq(first=a, second=b):
-                return Seq(ms(a), ms(b))
-            case Assign(var=x, expr=a):
-                return Assign(f(x), ma(a))
-            case If(cond=c, then=a, orelse=b):
-                return If(mb(c), ms(a), ms(b))
-            case While(cond=c, body=a):
-                return While(mb(c), ms(a))
-            case Input(var=x):
-                return Input(f(x))
-            case Output(expr=a):
-                return Output(ma(a))
-        raise TypeError(repr(st))
-
-    return ms(stmt)
+    """Rebuild stmt with every variable index replaced by f(index), calling f
+    in source order. A node under which no index changes is returned as it
+    is. The walk is post-order on an explicit stack, so a deep tree does not
+    recurse."""
+    done = []  # mapped nodes whose parent is not built yet, left to right
+    todo = [stmt]
+    while todo:
+        n = todo.pop()
+        t = type(n)
+        if t is tuple:  # (node, new var or None): its children are on done
+            n, x = n
+            if x is None:
+                fields = n.__match_args__
+                kids = done[-len(fields):]
+                del done[-len(fields):]
+                for kid, field in zip(kids, fields):
+                    if kid is not getattr(n, field):
+                        n = type(n)(*kids)
+                        break
+            else:
+                e = done.pop()
+                if x != n.var or e is not n.expr:
+                    n = Assign(x, e)
+            done.append(n)
+        elif t in _LEAVES:
+            done.append(n)
+        elif t is VarRef or t is Input:
+            x = f(n.var)
+            done.append(n if x == n.var else t(x))
+        elif t is Assign:
+            todo.append((n, f(n.var)))
+            todo.append(n.expr)
+        elif t in _INNER:
+            todo.append((n, None))
+            todo.extend([getattr(n, field) for field in reversed(n.__match_args__)])
+        else:
+            raise TypeError(repr(n))
+    return done[0]
 
 
 def variables(stmt: Stmt) -> set[Var]:

@@ -15,7 +15,7 @@ module only checks that a program is pure and changes the point of view.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from collections.abc import Callable, Iterator
 
 from .resumption import Res, _plug, _red, eval_res, norm_res
 from .resumption import loop_res, loopseq_res, seque_res
@@ -26,7 +26,7 @@ class ImpureProgramError(ValueError):
     """A program with input/output was fed to the pure-While interpreters."""
 
 
-Observation = tuple  # (State, Optional[Trace])
+Observation = tuple  # (State, Trace | None)
 
 
 class Trace:
@@ -67,7 +67,7 @@ class TracePrefix(Record):
         return "ended" if self.ended else "truncated"
 
 
-def walk(t: Trace, fuel: int) -> Iterator[Optional[State]]:
+def walk(t: Trace, fuel: int) -> Iterator[State | None]:
     """Yield the states of t one at a time, at most fuel delays' worth plus
     a free final state if t ends by then; then None if the fuel ran out.
 
@@ -125,7 +125,7 @@ def norm(stmt: Stmt, s: State) -> Trace:
     return Trace(norm_res(_pure(stmt), s))
 
 
-def red(stmt: Stmt, s: State) -> Optional[tuple[Stmt, State]]:
+def red(stmt: Stmt, s: State) -> tuple[Stmt, State] | None:
     """One-step reduction; None means the statement is terminal."""
     c = _red(stmt, None, s)
     if c[0] == "delay":

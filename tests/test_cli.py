@@ -288,6 +288,15 @@ class TestStartUp:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]", "coindwhile.checks 64"]
 
+    def test_import_does_not_load_typing(self):
+        # -S skips site, which may import typing itself; the package is then
+        # found through PYTHONPATH alone
+        package = Path(main.__code__.co_filename).resolve().parent.parent
+        code = "import coindwhile.cli, sys; assert 'typing' not in sys.modules"
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                              text=True, timeout=30, env={"PYTHONPATH": str(package)})
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestInteractive:
     def test_prompts_on_stderr_reads_stdin(self):

@@ -1,10 +1,11 @@
 """The work per observation is bounded by the syntax of one statement.
 
-Big-step runs compiled CPS code and small-step keeps its evaluation context
-as a stack, so in all four interpreters the Python calls per observation
-grow neither with the loop nest nor with the depth of the Seqs around the
-running statement, and a deep Seq spine does not recurse. Both must still
-produce the same runs.
+Big-step runs CPS code compiled on first entry and small-step keeps its
+evaluation context as a stack, so in all four interpreters the Python calls
+per observation grow neither with the loop nest nor with the depth of the
+Seqs around the running statement, and neither a deep Seq spine nor a deep
+nest of loops or conditionals recurses. Big-step compiles only the
+statements a run reaches, each once. Both must still produce the same runs.
 """
 
 import sys
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from coindwhile import resumption
 from coindwhile.checks import EquivalentUpToBounds, trace_eq
 from coindwhile.parse import parse
 from coindwhile.resumption import (
@@ -23,7 +25,20 @@ from coindwhile.resumption import (
     red_res,
     run_events,
 )
-from coindwhile.syntax import Assign, NumLit, Seq, Skip, State, is_pure
+from coindwhile.syntax import (
+    TT,
+    Assign,
+    Eq,
+    If,
+    Le,
+    NumLit,
+    Seq,
+    Skip,
+    State,
+    VarRef,
+    While,
+    is_pure,
+)
 from coindwhile.trace import eval_trace, norm, red, take
 
 EMPTY = State.empty()
@@ -79,6 +94,78 @@ class TestDeepSeqSpine:
         log = run_events(eval_res(stmt, EMPTY), [], 10)
         assert run_events(norm_res(stmt, EMPTY), [], 10) == log
         assert log == [("delay",)] * 10 + [("truncated",)]
+
+
+def deep_while(n):
+    """n nested `while x = 0 do ... od` around y := 9 ; x := 1: each loop
+    runs once."""
+    stmt = Seq(Assign(1, NumLit(9)), Assign(0, NumLit(1)))
+    for _ in range(n):
+        stmt = While(Eq(VarRef(0), NumLit(0)), stmt)
+    return stmt
+
+
+def deep_if(n):
+    """n nested conditionals, taken alternately by then and by else; each
+    else branch ends in a skip, after which the run goes on outward."""
+    stmt = Assign(1, NumLit(9))
+    for i in range(n):
+        guard = Le(VarRef(0), NumLit(0))
+        stmt = If(guard, Skip(), Seq(stmt, Skip())) if i % 2 else If(guard, stmt, Skip())
+        stmt = Seq(Assign(0, NumLit(i % 2)), stmt)
+    return stmt
+
+
+class TestCompileOnFirstEntry:
+    @pytest.mark.parametrize("stmt", [pytest.param(deep_while(5000), id="while-5000"),
+                                      pytest.param(deep_if(5000), id="if-5000")])
+    def test_deep_nests_run_without_recursion(self, stmt):
+        fuel = 30_000
+        log = run_events(eval_res(stmt, EMPTY), [], fuel)
+        assert log == run_events(norm_res(stmt, EMPTY), [], fuel)
+        assert log[-1][0] == "ret" and log[-1][1].lkp(1) == 9
+        assert len(log) > 10_000
+        want = take(norm(stmt, EMPTY), fuel)
+        assert want.ended and take(eval_trace(stmt, EMPTY), fuel) == want
+
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        """The statements resumption._compile is called on, in order."""
+        seen = []
+        compile_ = resumption._compile
+
+        def counting(stmt, ctx=None):
+            seen.append(stmt)
+            return compile_(stmt, ctx)
+
+        monkeypatch.setattr(resumption, "_compile", counting)
+        return seen
+
+    def test_a_branch_never_taken_is_never_compiled(self, compiled):
+        big = left_chain(10**4)
+        stmt = Seq(Assign(0, NumLit(1)), If(Le(VarRef(0), NumLit(0)), big, Skip()))
+        log = run_events(eval_res(stmt, EMPTY), [], 100)
+        assert log == [("delay",), ("delay",), ("ret", EMPTY.upd(0, 1))]
+        assert compiled == [stmt, stmt.second, Skip()]
+
+    def test_a_loop_body_is_compiled_once(self, compiled):
+        stmt, _ = parse("x := 0 ; while x <= 999 do y := y + x ; x := x + 1 od")
+        log = run_events(eval_res(stmt, EMPTY), [], 10**4)
+        assert log[-1] == ("ret", EMPTY.upd(0, 1000).upd(1, 499500))
+        loop = stmt.second
+        assert compiled == [stmt, loop, loop.body, loop.body.second]
+
+    def test_a_malformed_node_raises_when_reached(self):
+        bad = NumLit(7)  # a node that is not a statement
+        assert run_events(eval_res(If(TT, Skip(), bad), EMPTY), [], 10) == \
+            [("delay",), ("ret", EMPTY)]
+        r = eval_res(Seq(Assign(0, NumLit(1)), bad), EMPTY)
+        assert r.step()[0] == "delay"
+        with pytest.raises(TypeError, match="not a statement"):
+            r.step()[1].step()
+        r = eval_res(Seq(Skip(), Assign(0, TT)), EMPTY)
+        with pytest.raises(TypeError, match="not an arithmetic expression"):
+            r.step()
 
 
 def calls_per_observation(observe, n=2000):

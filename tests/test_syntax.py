@@ -33,6 +33,7 @@ from coindwhile.syntax import (
     compile_bexp,
     is_pure,
     lkp,
+    map_variables,
     upd,
     variables,
     wrap,
@@ -213,3 +214,42 @@ class TestStmtUtils:
     def test_variables(self):
         stmt = Seq(Assign(0, VarRef(2)), Output(VarRef(1)))
         assert variables(stmt) == {0, 1, 2}
+
+    def test_map_variables_calls_f_in_source_order(self):
+        stmt, _ = parse("x := y + z ; if w <= x then input v else output u fi")
+        seen = []
+        map_variables(stmt, lambda i: (seen.append(i), i)[1])
+        assert seen == [0, 1, 2, 3, 0, 4, 5]
+
+    def test_map_variables_keeps_unchanged_subtrees(self):
+        stmt, _ = parse("x := 1 ; while y <= 3 do y := y + 1 od ; output z")
+        assert map_variables(stmt, lambda i: i) is stmt
+        # only z (index 2) changes: the assignment and the loop are kept
+        mapped = map_variables(stmt, lambda i: 7 if i == 2 else i)
+        assert mapped == Seq(stmt.first, Seq(stmt.second.first, Output(VarRef(7))))
+        assert mapped.first is stmt.first
+        assert mapped.second.first is stmt.second.first
+
+    def test_map_variables_on_a_deep_while_nest(self):
+        stmt = Assign(0, Add(VarRef(1), NumLit(1)))
+        want = Assign(10, Add(VarRef(11), NumLit(1)))
+        for i in range(5000):
+            stmt = While(Le(VarRef(i % 3), NumLit(i)), stmt)
+            want = While(Le(VarRef(i % 3 + 10), NumLit(i)), want)
+        assert variables(stmt) == {0, 1, 2}
+        assert map_variables(stmt, lambda i: i + 10) == want
+
+
+class TestRecordRepr:
+    def test_keyword_fields(self):
+        stmt = Seq(Assign(0, Add(VarRef(1), NumLit(-2))), If(TrueLit(), Skip(), Input(3)))
+        assert repr(stmt) == (
+            "Seq(first=Assign(var=0, expr=Add(left=VarRef(var=1), "
+            "right=NumLit(value=-2))), second=If(cond=TrueLit(), then=Skip(), "
+            "orelse=Input(var=3)))"
+        )
+
+    def test_deep_chain_prints_without_recursion(self):
+        stmt, _ = parse(" ;\n".join(["x := 1"] * 5000))
+        one = "Assign(var=0, expr=NumLit(value=1))"
+        assert repr(stmt) == f"Seq(first={one}, second=" * 4999 + one + ")" * 4999
