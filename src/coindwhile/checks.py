@@ -32,7 +32,7 @@ class BudgetExhausted(Record):
     __slots__ = __match_args__ = ("budget", "path")
 
     def __init__(self, budget: str, path: tuple = ()):
-        self.budget = budget  # "delay" or "depth"
+        self.budget = budget  # "delay" or "nodes"
         self.path = path
 
 
@@ -54,17 +54,19 @@ ResponsiveVerdict = ResponsiveUpToBounds | LatencyExceeded | BudgetExhausted
 
 
 class BisimConfig(Record):
-    __slots__ = __match_args__ = ("delay_budget", "depth_budget", "input_sample")
+    __slots__ = __match_args__ = ("delay_budget", "depth_budget", "input_sample",
+                                  "node_budget")
 
     def __init__(self, delay_budget: int = 16, depth_budget: int = 64,
-                 input_sample: tuple = (0, 1, -1)):
-        if delay_budget <= 0 or depth_budget <= 0:
+                 input_sample: tuple = (0, 1, -1), node_budget: int = 100_000):
+        if delay_budget <= 0 or depth_budget <= 0 or node_budget <= 0:
             raise ValueError("budgets must be positive")
         if not input_sample:
             raise ValueError("input sample must be nonempty")
         self.delay_budget = delay_budget
         self.depth_budget = depth_budget
         self.input_sample = input_sample
+        self.node_budget = node_budget
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +143,18 @@ def delay_bisim(r0: Res, r1: Res, cfg: BisimConfig = BisimConfig()) -> Verdict:
 
     Heads are matched modulo finite delays: equal final states, matching
     input branching (probed pointwise on cfg.input_sample), or equal output
-    values; successors are explored to cfg.depth_budget unfoldings.
+    values; successors are explored to cfg.depth_budget unfoldings, and at
+    most cfg.node_budget pairs are explored in all.
     """
-    return _bisim(r0, r1, cfg, cfg.depth_budget, ())
+    return _bisim(r0, r1, cfg, cfg.depth_budget, (), [cfg.node_budget])
 
 
-def _bisim(r0: Res, r1: Res, cfg: BisimConfig, depth: int, path: tuple) -> Verdict:
+def _bisim(r0: Res, r1: Res, cfg: BisimConfig, depth: int, path: tuple,
+           nodes: list) -> Verdict:
+    # nodes is [calls the query may still make], shared by the whole query
+    if nodes[0] <= 0:
+        return BudgetExhausted("nodes", path)
+    nodes[0] -= 1
     if depth <= 0:
         return EquivalentUpToBounds()
     resolved = _resolve_pair(r0, r1, cfg.delay_budget)
@@ -162,16 +170,19 @@ def _bisim(r0: Res, r1: Res, cfg: BisimConfig, depth: int, path: tuple) -> Verdi
     if h0[0] == "out":
         if h0[1] != h1[1]:
             return Distinguished(path + (("mismatch", _head_desc(h0), _head_desc(h1)),))
-        return _bisim(h0[2], h1[2], cfg, depth - 1, path + (("out", h0[1]),))
+        return _bisim(h0[2], h1[2], cfg, depth - 1, path + (("out", h0[1]),), nodes)
     # both waiting for input: probe the continuations pointwise
     f0, f1 = h0[1], h1[1]
     exhausted = None
     for v in cfg.input_sample:
-        verdict = _bisim(f0(v), f1(v), cfg, depth - 1, path + (("in", v),))
+        verdict = _bisim(f0(v), f1(v), cfg, depth - 1, path + (("in", v),), nodes)
         if isinstance(verdict, Distinguished):
             return verdict
-        if isinstance(verdict, BudgetExhausted) and exhausted is None:
-            exhausted = verdict
+        if isinstance(verdict, BudgetExhausted):
+            if verdict.budget == "nodes":
+                return verdict
+            if exhausted is None:
+                exhausted = verdict
     return exhausted if exhausted is not None else EquivalentUpToBounds()
 
 
@@ -214,17 +225,24 @@ def responsive(
     latency_budget: int,
     depth_budget: int,
     input_sample: tuple = (0, 1, -1),
+    node_budget: int = 100_000,
 ) -> ResponsiveVerdict:
     """Bounded check that r always performs input or output within
-    latency_budget delays unless it terminates."""
-    if latency_budget <= 0 or depth_budget <= 0:
+    latency_budget delays unless it terminates, exploring at most
+    node_budget resumptions."""
+    if latency_budget <= 0 or depth_budget <= 0 or node_budget <= 0:
         raise ValueError("budgets must be positive")
     if not input_sample:
         raise ValueError("input sample must be nonempty")
-    return _responsive(r, latency_budget, depth_budget, tuple(input_sample), ())
+    return _responsive(r, latency_budget, depth_budget, tuple(input_sample), (),
+                       [node_budget])
 
 
-def _responsive(r, latency, depth, sample, path) -> ResponsiveVerdict:
+def _responsive(r, latency, depth, sample, path, nodes) -> ResponsiveVerdict:
+    # nodes is as in _bisim
+    if nodes[0] <= 0:
+        return BudgetExhausted("nodes", path)
+    nodes[0] -= 1
     if depth <= 0:
         return ResponsiveUpToBounds()
     p = strip_delays(r, latency)
@@ -234,11 +252,12 @@ def _responsive(r, latency, depth, sample, path) -> ResponsiveVerdict:
     if head[0] == "ret":
         return ResponsiveUpToBounds()
     if head[0] == "out":
-        return _responsive(head[2], latency, depth - 1, sample, path + (("out", head[1]),))
+        return _responsive(head[2], latency, depth - 1, sample,
+                           path + (("out", head[1]),), nodes)
     f = head[1]
     for v in sample:
-        verdict = _responsive(f(v), latency, depth - 1, sample, path + (("in", v),))
-        if isinstance(verdict, LatencyExceeded):
+        verdict = _responsive(f(v), latency, depth - 1, sample, path + (("in", v),), nodes)
+        if not isinstance(verdict, ResponsiveUpToBounds):
             return verdict
     return ResponsiveUpToBounds()
 

@@ -20,6 +20,13 @@ def wrap(n: int) -> Val:
     return (n + _HALF) % _MOD - _HALF
 
 
+def _index(x) -> Var:
+    """x, if it is a variable index: a non-negative int."""
+    if type(x) is not int or x < 0:
+        raise TypeError(f"a variable is a non-negative int index, not {x!r}")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # records and syntax nodes
 
@@ -87,9 +94,14 @@ class Record:
 class Node(Record):
     """A syntax node. Its hash is computed once, in ``__init__``, from its
     children's cached hashes (``var`` and ``value`` fields are hashed as
-    the ints they are), so hashing a node is O(1) however deep it is."""
+    the ints they are), so hashing a node is O(1) however deep it is.
+
+    ``_pure`` says that no ``input`` or ``output`` occurs in the node. Like
+    the hash it is set at construction, from the children's flags, by the
+    compound statements; every other node has it as a class attribute."""
 
     __slots__ = ("_hash",)
+    _pure = True
 
     def __init__(self):
         self._hash = hash(type(self))
@@ -123,7 +135,7 @@ class VarRef(Node):
     __slots__ = __match_args__ = ("var",)
 
     def __init__(self, var: Var):
-        self.var = var
+        self.var = _index(var)
         self._hash = hash((VarRef, var))
 
 
@@ -193,52 +205,60 @@ class Skip(Node):
 
 
 class Seq(Node):
-    __slots__ = __match_args__ = ("first", "second")
+    __match_args__ = ("first", "second")
+    __slots__ = __match_args__ + ("_pure",)
 
     def __init__(self, first: "Stmt", second: "Stmt"):
         self.first = first
         self.second = second
         self._hash = hash((Seq, first._hash, second._hash))
+        self._pure = first._pure and second._pure
 
 
 class Assign(Node):
     __slots__ = __match_args__ = ("var", "expr")
 
     def __init__(self, var: Var, expr: AExp):
-        self.var = var
+        self.var = _index(var)
         self.expr = expr
         self._hash = hash((Assign, var, expr._hash))
 
 
 class If(Node):
-    __slots__ = __match_args__ = ("cond", "then", "orelse")
+    __match_args__ = ("cond", "then", "orelse")
+    __slots__ = __match_args__ + ("_pure",)
 
     def __init__(self, cond: BExp, then: "Stmt", orelse: "Stmt"):
         self.cond = cond
         self.then = then
         self.orelse = orelse
         self._hash = hash((If, cond._hash, then._hash, orelse._hash))
+        self._pure = then._pure and orelse._pure
 
 
 class While(Node):
-    __slots__ = __match_args__ = ("cond", "body")
+    __match_args__ = ("cond", "body")
+    __slots__ = __match_args__ + ("_pure",)
 
     def __init__(self, cond: BExp, body: "Stmt"):
         self.cond = cond
         self.body = body
         self._hash = hash((While, cond._hash, body._hash))
+        self._pure = body._pure
 
 
 class Input(Node):
     __slots__ = __match_args__ = ("var",)
+    _pure = False
 
     def __init__(self, var: Var):
-        self.var = var
+        self.var = _index(var)
         self._hash = hash((Input, var))
 
 
 class Output(Node):
     __slots__ = __match_args__ = ("expr",)
+    _pure = False
 
     def __init__(self, expr: AExp):
         self.expr = expr
@@ -254,62 +274,74 @@ SKIP = Skip()
 # states
 
 
+_new = object.__new__  # a State without __init__, for upd's hot path
+
+
 class State:
     """Total map from variables to values with default 0.
 
-    Stored canonically: no explicit binding to the default value, so two
-    states compare equal iff they denote the same total function.
-    Immutable; upd returns a fresh state.
+    Stored as ``_vals``, the tuple of the values of variables 0, 1, 2, ...
+    up to the last one that is not 0. That form is canonical, so two states
+    are equal iff they denote the same total function, and ``==`` and
+    ``hash`` are the tuple's. Immutable; upd returns a fresh state.
     """
 
-    __slots__ = ("_bindings",)
-
-    default: Val = 0
+    __slots__ = ("_vals",)
 
     def __init__(self, bindings=None):
-        b = {}
+        vals = []
         if bindings:
             for x, v in dict(bindings).items():
-                v = wrap(v)
-                if v != State.default:
-                    b[x] = v
-        self._bindings = b
-
-    @classmethod
-    def _raw(cls, bindings: dict) -> "State":
-        s = cls.__new__(cls)
-        s._bindings = bindings
-        return s
+                if _index(x) >= len(vals):
+                    vals.extend([0] * (x + 1 - len(vals)))
+                vals[x] = wrap(v)
+        while vals and not vals[-1]:
+            vals.pop()
+        self._vals = tuple(vals)
 
     @classmethod
     def empty(cls) -> "State":
-        return cls._raw({})
+        s = _new(cls)
+        s._vals = ()
+        return s
 
     def lkp(self, x: Var) -> Val:
-        return self._bindings.get(x, State.default)
+        vals = self._vals
+        return vals[x] if _index(x) < len(vals) else 0
 
     def upd(self, x: Var, v: Val) -> "State":
         v = (v + _HALF) % _MOD - _HALF
-        b = self._bindings.copy()
-        if v == State.default:
-            b.pop(x, None)
-        else:
+        vals = self._vals
+        if x < len(vals):
+            if x < 0:
+                _index(x)  # raises
+            # a copy through a list: cheaper than slicing around x
+            b = [*vals]
             b[x] = v
-        s = State.__new__(State)
-        s._bindings = b
+            if not v:  # writing 0 at the end trims it
+                while b and not b[-1]:
+                    b.pop()
+            vals = tuple(b)
+        elif v:
+            vals = vals + (0,) * (x - len(vals)) + (v,)
+        else:
+            return self  # 0 past the end is already there
+        s = _new(State)
+        s._vals = vals
         return s
 
     def items(self):
-        """Bindings as a tuple sorted by variable index (canonical order)."""
-        return tuple(sorted(self._bindings.items()))
+        """The bindings to values other than 0, as (variable, value) pairs
+        in index order."""
+        return tuple((x, v) for x, v in enumerate(self._vals) if v)
 
     def __eq__(self, other):
         if not isinstance(other, State):
             return NotImplemented
-        return self._bindings == other._bindings
+        return self._vals == other._vals
 
     def __hash__(self):
-        return hash(frozenset(self._bindings.items()))
+        return hash(self._vals)
 
     def __repr__(self):
         inner = ", ".join(f"{x}={v}" for x, v in self.items())
@@ -331,7 +363,8 @@ def upd(x: Var, v: Val, s: State) -> State:
 def aexp(a: AExp, s: State) -> Val:
     t = type(a)
     if t is VarRef:
-        return s._bindings.get(a.var, State.default)
+        x, vals = a.var, s._vals
+        return vals[x] if x < len(vals) else 0
     if t is NumLit:
         return (a.value + _HALF) % _MOD - _HALF
     if t is Add:
@@ -373,7 +406,12 @@ def compile_aexp(a: AExp) -> Callable[[State], Val]:
     t = type(a)
     if t is VarRef:
         x = a.var
-        return lambda s: s._bindings.get(x, State.default)
+
+        def var(s):
+            vals = s._vals
+            return vals[x] if x < len(vals) else 0
+
+        return var
     if t is NumLit:
         v = wrap(a.value)
         return lambda s: v
@@ -414,22 +452,9 @@ def compile_bexp(b: BExp) -> Callable[[State], bool]:
 
 
 def is_pure(stmt: Stmt) -> bool:
-    """True iff stmt contains no input/output statement."""
-    todo = [stmt]
-    while todo:
-        st = todo.pop()
-        t = type(st)
-        if t is Seq:
-            todo.append(st.first)
-            todo.append(st.second)
-        elif t is If:
-            todo.append(st.then)
-            todo.append(st.orelse)
-        elif t is While:
-            todo.append(st.body)
-        elif t is Input or t is Output:
-            return False
-    return True
+    """True iff stmt contains no input/output statement (read from the flag
+    its constructor set, so it costs O(1))."""
+    return stmt._pure
 
 
 # the node types whose fields are all child nodes, and those with no field

@@ -245,7 +245,24 @@ class TestBisim:
         assert lines[0].startswith("budget exhausted (delay)")
 
 
+    def test_an_endless_echo_ends_on_the_node_budget(self, capsys, tmp_path):
+        # 3^32 input paths within the depth budget; this used to hang
+        prog = tmp_path / "echo_loop.whl"
+        prog.write_text("while tt do input x ; output x od\n")
+        status, lines = run_cli(capsys, "bisim", str(prog), str(prog))
+        assert status == 5
+        assert lines[0].startswith("budget exhausted (nodes): in 0 ; out 0 ;")
+
+
 class TestResponsive:
+    def test_an_endless_reader_ends_on_the_node_budget(self, capsys, tmp_path):
+        # 3^64 input paths within the depth budget; this used to hang
+        prog = tmp_path / "read_loop.whl"
+        prog.write_text("while tt do input x od\n")
+        status, lines = run_cli(capsys, "responsive", str(prog))
+        assert status == 5
+        assert lines[0].startswith("budget exhausted (nodes): in 0 ;")
+
     def test_echo_is_responsive(self, capsys):
         status, lines = run_cli(capsys, "responsive", ECHO)
         assert status == 0

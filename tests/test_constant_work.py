@@ -148,6 +148,27 @@ class TestCompileOnFirstEntry:
         assert log == [("delay",), ("delay",), ("ret", EMPTY.upd(0, 1))]
         assert compiled == [stmt, stmt.second, Skip()]
 
+    def test_a_trace_starts_without_walking_the_program(self):
+        # the purity check reads a flag set at construction, so the first
+        # observation of a trace does not visit the 10^4 unreached statements
+        stmt = Seq(Assign(0, NumLit(1)),
+                   If(Le(VarRef(0), NumLit(0)), left_chain(10**4), Skip()))
+        for interp in (eval_trace, norm):
+            lines = 0
+
+            def tracer(frame, event, arg):
+                nonlocal lines
+                lines += event == "line"
+                return tracer
+
+            sys.settrace(tracer)
+            try:
+                s, _ = interp(stmt, EMPTY).step()
+            finally:
+                sys.settrace(None)
+            assert s == EMPTY
+            assert lines < 200, (interp.__name__, lines)
+
     def test_a_loop_body_is_compiled_once(self, compiled):
         stmt, _ = parse("x := 0 ; while x <= 999 do y := y + x ; x := x + 1 od")
         log = run_events(eval_res(stmt, EMPTY), [], 10**4)

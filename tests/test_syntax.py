@@ -68,6 +68,62 @@ class TestState:
         s = upd(0, 0, s)
         assert s.items() == ((1, 7),)
 
+    def test_writing_zero_at_the_end_trims_it(self):
+        assert EMPTY.upd(7, 1).upd(7, 0) == EMPTY
+        assert EMPTY.upd(7, 1).upd(7, 0).items() == ()
+        s = EMPTY.upd(0, 4).upd(3, 5).upd(5, 6)
+        assert s.upd(5, 0).upd(3, 0) == EMPTY.upd(0, 4)
+        assert s.upd(40, 0) is s
+
+    @pytest.mark.parametrize("key", [-1, -40, "x", 1.0, None])
+    def test_a_key_must_be_a_non_negative_int(self, key):
+        with pytest.raises(TypeError):
+            State({key: 1})
+        with pytest.raises(TypeError):
+            EMPTY.upd(0, 1).upd(key, 2)
+        with pytest.raises(TypeError):
+            EMPTY.upd(0, 1).lkp(key)
+        with pytest.raises(TypeError):
+            VarRef(key)
+        with pytest.raises(TypeError):
+            Assign(key, NumLit(1))
+        with pytest.raises(TypeError):
+            Input(key)
+
+    def test_constructor_matches_updates(self):
+        s = State({3: 5, 0: -1, 9: 0, 4: 2**64 + 1})
+        assert s == EMPTY.upd(0, -1).upd(3, 5).upd(4, 1)
+        assert s.items() == ((0, -1), (3, 5), (4, 1))
+        assert repr(s) == "State({0=-1, 3=5, 4=1})"
+
+    @given(
+        st.lists(
+            st.lists(st.tuples(st.integers(0, 40), st.sampled_from([0, 0, 1, -1, 7, 2**64])),
+                     max_size=12),
+            min_size=2, max_size=2,
+        )
+    )
+    def test_against_a_dict_model(self, runs):
+        # two runs of writes from EMPTY; the model is a dict without the
+        # bindings to 0, so two states must be equal iff their models are
+        states, models = [], []
+        for writes in runs:
+            s, m = EMPTY, {}
+            for x, v in writes:
+                s = s.upd(x, v)
+                m[x] = wrap(v)
+                m = {y: w for y, w in m.items() if w}
+                for y in range(42):
+                    assert s.lkp(y) == m.get(y, 0)
+                assert s.items() == tuple(sorted(m.items()))
+                assert s == State(m) and hash(s) == hash(State(m))
+            states.append(s)
+            models.append(m)
+        a, b = states
+        assert (a == b) == (models[0] == models[1])
+        if a == b:
+            assert hash(a) == hash(b)
+
     def test_extensional_equality_and_hash(self):
         a = upd(0, 1, upd(1, 2, EMPTY))
         b = upd(1, 2, upd(0, 1, EMPTY))
@@ -181,6 +237,19 @@ class TestStmtUtils:
         assert is_pure(Seq(Skip(), While(TrueLit(), Assign(0, NumLit(1)))))
         assert not is_pure(Seq(Skip(), Input(0)))
         assert not is_pure(If(TrueLit(), Skip(), Output(NumLit(1))))
+
+    def test_purity_is_a_flag_set_at_construction(self):
+        leaves = [Skip(), Assign(0, NumLit(1)), Input(0), Output(NumLit(1))]
+        assert [is_pure(n) for n in leaves] == [True, True, False, False]
+        for impure in leaves[2:]:
+            for node in (Seq(Skip(), impure), Seq(impure, Skip()),
+                         If(TrueLit(), impure, Skip()), If(TrueLit(), Skip(), impure),
+                         While(TrueLit(), impure)):
+                assert not is_pure(node)
+                assert not is_pure(pickle.loads(pickle.dumps(node)))
+                assert not is_pure(map_variables(node, lambda x: x + 1))
+        # a child that is not a statement still constructs, and is pure
+        assert is_pure(If(TrueLit(), Skip(), NumLit(7)))
 
     def test_is_pure_on_a_deep_chain(self):
         stmt = Skip()

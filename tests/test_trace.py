@@ -60,6 +60,23 @@ class TestTake:
         assert pre == TracePrefix((EMPTY,) * 50_000, False)
         assert peak < 2_000_000, f"peak {peak} bytes"
 
+    def test_a_held_state_is_a_tuple_of_values(self):
+        # each State holds the tuple of its variables' values: about 112
+        # bytes for 4 variables (3.11-3.13; 3.10 adds GC-header bytes),
+        # against 264 as a dict. A delay records the state its step starts
+        # from, so a guard and the assignment after it share one object.
+        p = ast("a := 1 ; b := 2 ; c := 3 ; d := 4 ; while tt do d := 9 - d od")
+        tracemalloc.start()
+        try:
+            pre = take(eval_trace(p, EMPTY), 10_000)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert pre.states[-1].items() == ((0, 1), (1, 2), (2, 3), (3, 5))
+        states = len({id(s) for s in pre.states})
+        assert states > 5_000
+        assert retained / states < 200, f"{retained / states:.1f} bytes per state"
+
     def test_fuel_counts_delays_not_states(self):
         s1 = EMPTY.upd(0, 17)
         t = Trace.delay(EMPTY, Trace.nil(s1))
