@@ -53,20 +53,24 @@ class LatencyExceeded(Record):
 ResponsiveVerdict = ResponsiveUpToBounds | LatencyExceeded | BudgetExhausted
 
 
+# At most this many search calls per bisim or responsive query, so a program
+# that reads forever (len(sample) ** depth paths) ends in BudgetExhausted
+# ("nodes"). A depth-6 query under two sample values makes 2^7 - 1 calls.
+NODE_BUDGET = 100_000
+
+
 class BisimConfig(Record):
-    __slots__ = __match_args__ = ("delay_budget", "depth_budget", "input_sample",
-                                  "node_budget")
+    __slots__ = __match_args__ = ("delay_budget", "depth_budget", "input_sample")
 
     def __init__(self, delay_budget: int = 16, depth_budget: int = 64,
-                 input_sample: tuple = (0, 1, -1), node_budget: int = 100_000):
-        if delay_budget <= 0 or depth_budget <= 0 or node_budget <= 0:
+                 input_sample: tuple = (0, 1, -1)):
+        if delay_budget <= 0 or depth_budget <= 0:
             raise ValueError("budgets must be positive")
         if not input_sample:
             raise ValueError("input sample must be nonempty")
         self.delay_budget = delay_budget
         self.depth_budget = depth_budget
         self.input_sample = input_sample
-        self.node_budget = node_budget
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +148,9 @@ def delay_bisim(r0: Res, r1: Res, cfg: BisimConfig = BisimConfig()) -> Verdict:
     Heads are matched modulo finite delays: equal final states, matching
     input branching (probed pointwise on cfg.input_sample), or equal output
     values; successors are explored to cfg.depth_budget unfoldings, and at
-    most cfg.node_budget pairs are explored in all.
+    most NODE_BUDGET pairs are explored in all.
     """
-    return _bisim(r0, r1, cfg, cfg.depth_budget, (), [cfg.node_budget])
+    return _bisim(r0, r1, cfg, cfg.depth_budget, (), [NODE_BUDGET])
 
 
 def _bisim(r0: Res, r1: Res, cfg: BisimConfig, depth: int, path: tuple,
@@ -225,17 +229,16 @@ def responsive(
     latency_budget: int,
     depth_budget: int,
     input_sample: tuple = (0, 1, -1),
-    node_budget: int = 100_000,
 ) -> ResponsiveVerdict:
     """Bounded check that r always performs input or output within
     latency_budget delays unless it terminates, exploring at most
-    node_budget resumptions."""
-    if latency_budget <= 0 or depth_budget <= 0 or node_budget <= 0:
+    NODE_BUDGET resumptions."""
+    if latency_budget <= 0 or depth_budget <= 0:
         raise ValueError("budgets must be positive")
     if not input_sample:
         raise ValueError("input sample must be nonempty")
     return _responsive(r, latency_budget, depth_budget, tuple(input_sample), (),
-                       [node_budget])
+                       [NODE_BUDGET])
 
 
 def _responsive(r, latency, depth, sample, path, nodes) -> ResponsiveVerdict:

@@ -311,10 +311,10 @@ class State:
 
     def upd(self, x: Var, v: Val) -> "State":
         v = (v + _HALF) % _MOD - _HALF
+        if type(x) is not int or x < 0:
+            _index(x)  # raises
         vals = self._vals
         if x < len(vals):
-            if x < 0:
-                _index(x)  # raises
             # a copy through a list: cheaper than slicing around x
             b = [*vals]
             b[x] = v

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from coindwhile import checks
 from coindwhile.checks import (
     BisimConfig,
     BudgetExhausted,
@@ -206,21 +207,22 @@ class TestNodeBudget:
     # depth 6 under a two-value sample makes 2^7 - 1 calls: 63 input nodes
     # and 64 leaves at depth 0
     INPUTS = "while tt do input x od"
+    CFG = BisimConfig(delay_budget=8, depth_budget=6, input_sample=(0, 1))
 
-    def test_bisim_counts_one_node_per_call(self):
+    def test_bisim_counts_one_node_per_call(self, monkeypatch):
         r = eval_res(ast(self.INPUTS), EMPTY)
-        cfg = dict(delay_budget=8, depth_budget=6, input_sample=(0, 1))
-        assert delay_bisim(r, r, BisimConfig(**cfg, node_budget=127)) == \
-            EquivalentUpToBounds()
+        monkeypatch.setattr(checks, "NODE_BUDGET", 127)
+        assert delay_bisim(r, r, self.CFG) == EquivalentUpToBounds()
         # the last call is the rightmost leaf
-        assert delay_bisim(r, r, BisimConfig(**cfg, node_budget=126)) == \
-            BudgetExhausted("nodes", (("in", 1),) * 6)
+        monkeypatch.setattr(checks, "NODE_BUDGET", 126)
+        assert delay_bisim(r, r, self.CFG) == BudgetExhausted("nodes", (("in", 1),) * 6)
 
-    def test_responsive_counts_one_node_per_call(self):
+    def test_responsive_counts_one_node_per_call(self, monkeypatch):
         r = eval_res(ast(self.INPUTS), EMPTY)
-        assert responsive(r, 8, 6, (0, 1), node_budget=127) == ResponsiveUpToBounds()
-        assert responsive(r, 8, 6, (0, 1), node_budget=126) == \
-            BudgetExhausted("nodes", (("in", 1),) * 6)
+        monkeypatch.setattr(checks, "NODE_BUDGET", 127)
+        assert responsive(r, 8, 6, (0, 1)) == ResponsiveUpToBounds()
+        monkeypatch.setattr(checks, "NODE_BUDGET", 126)
+        assert responsive(r, 8, 6, (0, 1)) == BudgetExhausted("nodes", (("in", 1),) * 6)
 
     def test_no_sibling_is_explored_once_the_budget_is_spent(self):
         # input 1 tells the two apart at once, but input 0 is explored
@@ -230,27 +232,18 @@ class TestNodeBudget:
         cfg = BisimConfig(delay_budget=8, depth_budget=64, input_sample=(0, 1))
         verdict = delay_bisim(r0, r1, cfg)
         assert verdict.budget == "nodes" and verdict.path[0] == ("in", 0)
-        small = BisimConfig(delay_budget=8, depth_budget=6, input_sample=(0, 1))
-        assert isinstance(delay_bisim(r0, r1, small), Distinguished)
+        assert isinstance(delay_bisim(r0, r1, self.CFG), Distinguished)
         assert responsive(r0, 8, 64, (0, 1)).budget == "nodes"
 
-    def test_the_default_budget_leaves_small_queries_alone(self):
+    def test_the_budget_leaves_small_queries_alone(self):
         rng = random.Random(59)
-        cfg = BisimConfig(delay_budget=8, depth_budget=6, input_sample=(0, 1))
-        assert cfg.node_budget == 100_000
         for _ in range(40):
             stmt = gen_stmt(rng, 5, io=True)
             s = gen_state(rng)
-            verdict = delay_bisim(eval_res(stmt, s), norm_res(stmt, s), cfg)
+            verdict = delay_bisim(eval_res(stmt, s), norm_res(stmt, s), self.CFG)
             assert getattr(verdict, "budget", None) != "nodes"
             verdict = responsive(eval_res(stmt, s), 8, 6, (0, 1))
             assert getattr(verdict, "budget", None) != "nodes"
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BisimConfig(node_budget=0)
-        with pytest.raises(ValueError):
-            responsive(bot(), 1, 10, (0,), node_budget=0)
 
 
 class TestTraceEq:

@@ -244,7 +244,6 @@ class TestBisim:
         assert status == 5
         assert lines[0].startswith("budget exhausted (delay)")
 
-
     def test_an_endless_echo_ends_on_the_node_budget(self, capsys, tmp_path):
         # 3^32 input paths within the depth budget; this used to hang
         prog = tmp_path / "echo_loop.whl"
@@ -252,6 +251,32 @@ class TestBisim:
         status, lines = run_cli(capsys, "bisim", str(prog), str(prog))
         assert status == 5
         assert lines[0].startswith("budget exhausted (nodes): in 0 ; out 0 ;")
+
+
+# The verdicts of `bisim p p` and `responsive p` on each sample program, as
+# (bisim status, responsive status) with the first line each prints. None
+# may end on the node budget.
+SAMPLE_VERDICTS = {
+    "counter.whl": ((0, "equivalent up to bounds"), (0, "responsive up to bounds")),
+    "echo.whl": ((0, "equivalent up to bounds"), (0, "responsive up to bounds")),
+    "emit.whl": ((0, "equivalent up to bounds"), (0, "responsive up to bounds")),
+    "emit_padded.whl": ((0, "equivalent up to bounds"), (0, "responsive up to bounds")),
+    "loop.whl": ((5, "budget exhausted (delay)"), (4, "latency exceeded")),
+}
+
+
+def test_every_sample_program_has_its_verdicts_listed():
+    assert sorted(p.name for p in PROGRAMS.glob("*.whl")) == sorted(SAMPLE_VERDICTS)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_VERDICTS))
+def test_sample_program_verdicts(capsys, name):
+    prog = str(PROGRAMS / name)
+    (bisim_status, bisim_line), (resp_status, resp_line) = SAMPLE_VERDICTS[name]
+    status, lines = run_cli(capsys, "bisim", prog, prog)
+    assert (status, lines[0][:len(bisim_line)]) == (bisim_status, bisim_line)
+    status, lines = run_cli(capsys, "responsive", prog)
+    assert (status, lines[0][:len(resp_line)]) == (resp_status, resp_line)
 
 
 class TestResponsive:

@@ -75,12 +75,16 @@ class TestState:
         assert s.upd(5, 0).upd(3, 0) == EMPTY.upd(0, 4)
         assert s.upd(40, 0) is s
 
-    @pytest.mark.parametrize("key", [-1, -40, "x", 1.0, None])
+    @pytest.mark.parametrize("key", [-1, -40, "x", 1.0, None, True])
     def test_a_key_must_be_a_non_negative_int(self, key):
         with pytest.raises(TypeError):
             State({key: 1})
         with pytest.raises(TypeError):
             EMPTY.upd(0, 1).upd(key, 2)
+        with pytest.raises(TypeError):
+            EMPTY.upd(key, 2)
+        with pytest.raises(TypeError):
+            EMPTY.upd(key, 0)
         with pytest.raises(TypeError):
             EMPTY.upd(0, 1).lkp(key)
         with pytest.raises(TypeError):
