@@ -33,10 +33,15 @@ def _die(msg: str) -> int:
 
 def _load(path: str, names: NameTable | None = None):
     try:
-        with open(path, encoding="utf-8") as fh:
-            src = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
+        # with the universal newlines that a text-mode read would give
+        src = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text"
+                       f" (byte 0x{data[exc.start]:02x} at offset {exc.start})") from None
     try:
         return parse(src, names)
     except ParseError as exc:

@@ -1,7 +1,8 @@
 """Concrete syntax for While with I/O: lexer, parser, pretty-printer, and
 the variable-name interning table.
 
-Grammar (statements, parsed by recursive descent):
+Grammar (statements, parsed with an explicit stack of the open 'while',
+'if' and 'repeat' constructs, so nesting depth costs no recursion):
 
     stmt   ::= simple (';' simple)*                     right-associative
     simple ::= 'skip'
@@ -23,6 +24,7 @@ comment.
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 from .syntax import (
     FF,
@@ -40,6 +42,7 @@ from .syntax import (
     NumLit,
     Or,
     Output,
+    SKIP,
     Seq,
     Skip,
     Stmt,
@@ -56,41 +59,43 @@ KEYWORDS = {
     "repeat", "until", "input", "output", "not", "and", "or", "tt", "ff",
 }
 
-# The two expression sorts, named as an error message names them.
-_A = "an arithmetic expression"
-_B = "a boolean expression"
+# The two expression sorts, by "is boolean", named as an error message
+# names them.
+_SORT = {False: "an arithmetic expression", True: "a boolean expression"}
+# the node classes of boolean sort; every other expression is arithmetic
+_BOOL = frozenset({TrueLit, FalseLit, Eq, Le, Not, And, Or})
 
-# binary operator -> (precedence, node class, operand sort, result sort);
-# every binary operator is left-associative, and prefix 'not' binds
-# tighter than 'and' but looser than the comparisons
+# binary operator -> (precedence, node class, operands are boolean); every
+# binary operator is left-associative, and prefix 'not' binds tighter than
+# 'and' but looser than the comparisons
 _BINARY = {
-    "or": (1, Or, _B, _B),
-    "and": (2, And, _B, _B),
-    "=": (4, Eq, _A, _B),
-    "<=": (4, Le, _A, _B),
-    "+": (5, Add, _A, _A),
-    "-": (5, Sub, _A, _A),
-    "*": (6, Mul, _A, _A),
+    "or": (1, Or, True),
+    "and": (2, And, True),
+    "=": (4, Eq, False),
+    "<=": (4, Le, False),
+    "+": (5, Add, False),
+    "-": (5, Sub, False),
+    "*": (6, Mul, False),
 }
 _NOT = 3
-_SPELLING = {node: op for op, (_, node, _, _) in _BINARY.items()}
+_SPELLING = {node: op for op, (_, node, _) in _BINARY.items()}
 
-# One match is one token with the blanks and comments before it; a
-# character that starts no token is a 'bad' token, and 'eof' matches at the
-# end. A token is the tuple (kind, text, offset).
+# One match is one token, captured in group 1, with the blanks and comments
+# before it. A character that starts no token is a token of its own, a bad
+# one, and the end of input is the empty token (findall may give it twice).
 _TOKEN_RE = re.compile(
     r"""
       (?:[ \t\r\n]+ | \#[^\n]*)*
-      (?:
-          (?P<num>[0-9]+)
-        | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-        | (?P<op>:=|<=|[=+\-*();])
-        | (?P<eof>\Z)
-        | (?P<bad>.)
-      )
+      ( [0-9]+ | [A-Za-z_][A-Za-z0-9_]* | :=|<=|[=+\-*();] | \Z | . )
     """,
     re.VERBOSE,
 )
+_DIGITS = frozenset("0123456789")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+# a token of one character is bad unless it is one of these
+_ONE_CHAR = _DIGITS | _NAME_START | frozenset("=+-*();")
+# open construct -> the token that ends its current body
+_CLOSER = {"while": "od", "if": "else", "else": "fi", "repeat": "until"}
 
 
 class ParseError(Exception):
@@ -151,185 +156,207 @@ def _position(src: str, offset: int) -> tuple[int, int]:
     return src.count("\n", 0, line_start) + 1, offset - line_start + 1
 
 
-def tokenize(src: str) -> list[tuple]:
-    """The tokens of src as (kind, text, offset), ending with an 'eof' token;
-    kind is 'num', 'ident', or the spelling of a keyword or operator."""
-    tokens = []
-    append = tokens.append
-    for m in _TOKEN_RE.finditer(src):
-        kind = m.lastgroup
-        text = m[kind]
-        if kind == "ident":
-            if text in KEYWORDS:
-                kind = text
-        elif kind == "op":
-            kind = text
-        elif kind == "eof":
-            append(("eof", "<end of input>", len(src)))
-            return tokens
-        elif kind == "bad":
-            raise ParseError(*_position(src, m.start(kind)), ["a token"], repr(text))
-        append((kind, text, m.end() - len(text)))
-
-
 class _Parser:
+    """One parse of src. A token is its text, so the parser dispatches on
+    the text; a token's position is worked out only for an error."""
+
     def __init__(self, src: str, names: NameTable):
         self.src = src
-        self.tokens = tokenize(src)
-        self.pos = 0
+        self.tokens = tokens = _TOKEN_RE.findall(src)
         self.names = names
+        # token -> its node, one per name and per unsigned literal in a parse;
+        # nodes are immutable, so they can be shared
+        self.atoms = {"tt": TT, "ff": FF}
+        # a bad character is reported before any syntax error; the program's
+        # few distinct tokens are searched first, the whole list only if one
+        # of them is bad
+        bad = {t for t in set(tokens) if len(t) == 1 and t not in _ONE_CHAR}
+        if bad:
+            i = next(i for i, t in enumerate(tokens) if t in bad)
+            raise self.error(i, ["a token"], repr(tokens[i]))
 
-    def error(self, tok: tuple, expected: list[str], found: str):
-        """A ParseError at the start of tok; its position is worked out
-        only now, so that lexing keeps no line or column."""
-        line, col = _position(self.src, tok[2])
-        return ParseError(line, col, expected, found)
+    def error(self, i: int, expected: list[str], found: str | None = None):
+        """A ParseError at the start of token i; by default it was found."""
+        if found is None:
+            found = self.tokens[i] or "<end of input>"
+        offset = next(islice(_TOKEN_RE.finditer(self.src), i, None)).start(1)
+        return ParseError(*_position(self.src, offset), expected, found)
 
-    def accept(self, kind: str):
-        tok = self.tokens[self.pos]
-        if tok[0] == kind:
-            self.pos += 1
-            return tok
-        return None
+    def atom(self, i: int, negate: bool = False):
+        """The node of the number or variable name at token i; for a name,
+        made once per parse, interning it on first sight."""
+        tok = self.tokens[i]
+        if tok[:1] in _DIGITS:
+            try:
+                n = int(tok)
+            except ValueError:  # longer than the interpreter's int conversion limit
+                raise self.error(i, ["a shorter number"],
+                                 f"a {len(tok)}-digit number") from None
+            if negate:
+                return NumLit(wrap(-n))
+            node = self.atoms[tok] = NumLit(wrap(n))
+            return node
+        if negate:
+            raise self.error(i, ["a number"])
+        if tok[:1] in _NAME_START and tok not in KEYWORDS:
+            node = self.atoms[tok] = VarRef(self.names.intern(tok))
+            return node
+        raise self.error(i, ["an expression"])
 
-    def expect(self, kind: str, what: str | None = None) -> tuple:
-        tok = self.accept(kind)
-        if tok is None:
-            found = self.tokens[self.pos]
-            raise self.error(found, [what or repr(kind)], found[1])
-        return tok
+    def program(self) -> Stmt:
+        """The whole source: a statement, then the end of input.
 
-    def fail(self, expected: list[str]):
-        tok = self.tokens[self.pos]
-        raise self.error(tok, expected, tok[1])
-
-    # statements -----------------------------------------------------------
-
-    def stmt(self) -> Stmt:
-        # a loop, not recursion, so that long ';' chains parse
-        parts = [self.simple_stmt()]
-        while self.accept(";"):
-            parts.append(self.simple_stmt())
-        stmt = parts.pop()
-        while parts:
-            stmt = Seq(parts.pop(), stmt)
-        return stmt
-
-    def simple_stmt(self) -> Stmt:
-        tok = self.tokens[self.pos]
-        if self.accept("skip"):
-            return Skip()
-        if self.accept("input"):
-            name = self.expect("ident", "a variable name")
-            return Input(self.names.intern(name[1]))
-        if self.accept("output"):
-            return Output(self.expr(_A))
-        if self.accept("if"):
-            cond = self.expr(_B)
-            self.expect("then")
-            then = self.stmt()
-            self.expect("else")
-            orelse = self.stmt()
-            self.expect("fi")
-            return If(cond, then, orelse)
-        if self.accept("while"):
-            cond = self.expr(_B)
-            self.expect("do")
-            body = self.stmt()
-            self.expect("od")
-            return While(cond, body)
-        if self.accept("repeat"):
-            body = self.stmt()
-            self.expect("until")
-            cond = self.expr(_B)
-            # run once, then keep running while the exit condition is false
-            return Seq(body, While(Not(cond), body))
-        if tok[0] == "ident":
-            self.pos += 1
-            self.expect(":=")
-            return Assign(self.names.intern(tok[1]), self.expr(_A))
-        self.fail(["a statement"])
-
-    # expressions --------------------------------------------------------
-
-    def number(self, tok: tuple) -> int:
-        try:
-            return int(tok[1])
-        except ValueError:  # longer than the interpreter's int conversion limit
-            raise self.error(tok, ["a shorter number"],
-                             f"a {len(tok[1])}-digit number") from None
-
-    def expr(self, sort: str):
-        """An expression of the given sort, _A or _B.
-
-        Operator precedence with an explicit operand stack and operator
-        stack, so parentheses and 'not' nest without recursion. An operand
-        is (node, sort, token it starts at). Sorts are checked only when an
-        operator reduces, so a '(' need not decide which sort it opens.
+        The open 'while', 'if' and 'repeat' constructs are frames on a
+        stack, and the finished simple statements of every open ';' chain
+        share one list; so neither nesting nor chains recurse.
         """
         tokens = self.tokens
-        args: list[tuple] = []
-        # (precedence, token) for '(', 'not' and binary operators; a '(' is
-        # 0, below every operator, so no reduction passes it
+        pos = 0
+        parts: list = []
+        # (construct, where its chain starts in parts, condition, 'then'
+        # branch); an 'if' whose 'then' branch is closed becomes 'else'
+        frames: list[tuple] = []
+        while True:
+            # a simple statement, or the opening of a construct
+            tok = tokens[pos]
+            pos += 1
+            if tok == "while" or tok == "if":
+                cond = self.expr(pos, True)
+                pos = self.pos
+                opener = "do" if tok == "while" else "then"
+                if tokens[pos] != opener:
+                    raise self.error(pos, [repr(opener)])
+                pos += 1
+                frames.append((tok, len(parts), cond, None))
+                continue
+            if tok == "repeat":
+                frames.append((tok, len(parts), None, None))
+                continue
+            if tok == "skip":
+                node = SKIP
+            elif tok == "input":
+                tok = tokens[pos]
+                if tok[:1] not in _NAME_START or tok in KEYWORDS:
+                    raise self.error(pos, ["a variable name"])
+                node = Input((self.atoms.get(tok) or self.atom(pos)).var)
+                pos += 1
+            elif tok == "output":
+                node = Output(self.expr(pos, False))
+                pos = self.pos
+            elif tok[:1] in _NAME_START and tok not in KEYWORDS:
+                if tokens[pos] != ":=":
+                    raise self.error(pos, ["':='"])
+                ref = self.atoms.get(tok) or self.atom(pos - 1)
+                node = Assign(ref.var, self.expr(pos + 1, False))
+                pos = self.pos
+            else:
+                raise self.error(pos - 1, ["a statement"])
+            # node is a finished simple statement: close every construct
+            # whose body it ends
+            while True:
+                parts.append(node)
+                if tokens[pos] == ";":
+                    pos += 1
+                    break
+                base = frames[-1][1] if frames else 0
+                stmt = parts.pop()
+                while len(parts) > base:
+                    stmt = Seq(parts.pop(), stmt)
+                if not frames:
+                    if tokens[pos]:
+                        raise self.error(pos, ["end of input"])
+                    return stmt
+                construct, base, cond, then = frames.pop()
+                closer = _CLOSER[construct]
+                if tokens[pos] != closer:
+                    raise self.error(pos, [repr(closer)])
+                pos += 1
+                if construct == "while":
+                    node = While(cond, stmt)
+                elif construct == "if":
+                    frames.append(("else", base, cond, stmt))
+                    break
+                elif construct == "else":
+                    node = If(cond, then, stmt)
+                else:
+                    cond = self.expr(pos, True)
+                    pos = self.pos
+                    # run once, then keep running while the exit condition is false
+                    node = Seq(stmt, While(Not(cond), stmt))
+
+    def expr(self, pos: int, boolean: bool):
+        """The expression of the given sort starting at token pos; self.pos
+        is set to the token after it.
+
+        Operator precedence with an explicit operand stack and operator
+        stack, so parentheses and 'not' nest without recursion. Operands are
+        nodes, with the token index each starts at alongside; an operand's
+        sort is its node's class, checked only when an operator reduces, so
+        a '(' need not decide which sort it opens.
+        """
+        tokens = self.tokens
+        atoms = self.atoms
+        args: list = []
+        starts: list[int] = []
+        # (precedence, token index, node class, operands are boolean) for
+        # '(', 'not' and binary operators; a '(' is 0, below every
+        # operator, so no reduction passes it
         ops: list[tuple] = []
         while True:
             # operand position: any prefixes, then one atom
-            tok = tokens[self.pos]
-            self.pos += 1
-            kind = tok[0]
-            while kind == "(" or kind == "not":
-                ops.append((0 if kind == "(" else _NOT, tok))
-                tok = tokens[self.pos]
-                self.pos += 1
-                kind = tok[0]
-            if kind == "num":
-                args.append((NumLit(wrap(self.number(tok))), _A, tok))
-            elif kind == "ident":
-                args.append((VarRef(self.names.intern(tok[1])), _A, tok))
-            elif kind == "tt" or kind == "ff":
-                args.append((TT if kind == "tt" else FF, _B, tok))
-            elif kind == "-":
-                num = self.expect("num", "a number")
-                args.append((NumLit(wrap(-self.number(num))), _A, tok))
-            else:
-                self.pos -= 1
-                self.fail(["an expression"])
+            tok = tokens[pos]
+            while tok == "(" or tok == "not":
+                ops.append((0, pos, None, False) if tok == "(" else (_NOT, pos, Not, True))
+                pos += 1
+                tok = tokens[pos]
+            starts.append(pos)
+            node = atoms.get(tok)
+            if node is None:
+                if tok == "-":
+                    pos += 1
+                    node = self.atom(pos, True)
+                else:
+                    node = self.atom(pos)
+            args.append(node)
+            pos += 1
             # operator position: reduce what binds tighter than the next
             # token; anything but a binary operator reduces down to a '('
             while True:
-                tok = tokens[self.pos]
-                entry = _BINARY.get(tok[0])
+                tok = tokens[pos]
+                entry = _BINARY.get(tok)
                 prec = entry[0] if entry else 1
                 while ops and ops[-1][0] >= prec:
-                    self.reduce(args, ops.pop()[1])
+                    _, at, cls, want = ops.pop()
+                    right = args.pop()
+                    right_at = starts.pop()
+                    if cls is Not:
+                        if type(right) not in _BOOL:
+                            raise self.error(right_at, [_SORT[True]], _SORT[False])
+                        args.append(Not(right))
+                        starts.append(at)
+                        continue
+                    left = args[-1]
+                    # the left operand is checked first
+                    if (type(left) in _BOOL) is not want:
+                        raise self.error(starts[-1], [_SORT[want]], _SORT[not want])
+                    if (type(right) in _BOOL) is not want:
+                        raise self.error(right_at, [_SORT[want]], _SORT[not want])
+                    args[-1] = cls(left, right)
                 if entry is not None:
-                    ops.append((prec, tok))
-                    self.pos += 1
+                    ops.append((prec, pos, entry[1], entry[2]))
+                    pos += 1
                     break
                 if not ops:
-                    return self.check(args.pop(), sort)
-                if tok[0] != ")":
-                    self.fail(["')'"])
+                    node = args[0]
+                    if (type(node) in _BOOL) is not boolean:
+                        raise self.error(starts[0], [_SORT[boolean]], _SORT[not boolean])
+                    self.pos = pos
+                    return node
+                if tok != ")":
+                    raise self.error(pos, ["')'"])
                 # the parenthesized operand starts at its '('
-                args[-1] = args[-1][:2] + (ops.pop()[1],)
-                self.pos += 1
-
-    def reduce(self, args: list, op: tuple):
-        right = args.pop()
-        if op[0] == "not":
-            args.append((Not(self.check(right, _B)), _B, op))
-            return
-        _, node, arg_sort, result_sort = _BINARY[op[0]]
-        left = args.pop()
-        args.append((node(self.check(left, arg_sort), self.check(right, arg_sort)),
-                     result_sort, left[2]))
-
-    def check(self, operand: tuple, sort: str):
-        """The operand's node, if it has the given sort."""
-        node, have, tok = operand
-        if have != sort:
-            raise self.error(tok, [sort], have)
-        return node
+                starts[-1] = ops.pop()[1]
+                pos += 1
 
 
 def parse(src: str, names: NameTable | None = None) -> tuple[Stmt, NameTable]:
@@ -339,9 +366,7 @@ def parse(src: str, names: NameTable | None = None) -> tuple[Stmt, NameTable]:
     programs parsed into one table number their variables alike.
     """
     p = _Parser(src, NameTable() if names is None else names)
-    stmt = p.stmt()
-    p.expect("eof", "end of input")
-    return stmt, p.names
+    return p.program(), p.names
 
 
 # ---------------------------------------------------------------------------

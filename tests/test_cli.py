@@ -1,12 +1,16 @@
 """Command-line interface: output formats and the exit-status contract."""
 
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from coindwhile.cli import main
 
@@ -145,6 +149,68 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "bad.whl:" in err and "od" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "{bad}"], ["parse", "{bad}"], ["bisim", EMIT, "{bad}"],
+    ], ids=["run", "parse", "bisim-second-file"])
+    def test_non_utf8_source_is_one_line_exit_1(self, capsys, tmp_path, argv):
+        bad = tmp_path / "bad.whl"
+        bad.write_bytes(b"x := 1 \xff\n")
+        assert main([a.format(bad=bad) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{bad}: not UTF-8 text (byte 0xff at offset 7)\n"
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_any_newline_counts_lines(self, capsys, tmp_path, newline):
+        prog = tmp_path / "lines.whl"
+        prog.write_bytes(newline.join([b"skip ;", b"# x := $", b"  y := $"]))
+        assert main(["parse", str(prog)]) == 1
+        assert capsys.readouterr().err == (
+            f"{prog}:3:8: expected a token, found '$'\n")
+
+
+# a piece of source: blanks, a comment, or a token (one character if bad)
+_PIECE = re.compile(r"\s+|#[^\n]*|:=|<=|\w+|.", re.S)
+_SAMPLES = [p.read_text() for p in sorted(PROGRAMS.glob("*.whl"))]
+_VOCABULARY = [
+    "skip", "if", "then", "else", "fi", "while", "do", "od", "repeat", "until",
+    "input", "output", "not", "and", "or", "tt", "ff", "x", "y", ":=", "<=", "=",
+    "+", "-", "*", "(", ")", ";", "0", "-1", str(2**64), "9" * 5000, "@", ":",
+    "\x00", "\ufeff", "\r", "#", " ", "",
+]
+
+
+@st.composite
+def _mutants(draw):
+    """A sample program with one token replaced, deleted or inserted."""
+    pieces = _PIECE.findall(draw(st.sampled_from(_SAMPLES)))
+    i = draw(st.integers(0, len(pieces) - 1))
+    word = draw(st.sampled_from(_VOCABULARY))
+    pieces[i] = draw(st.sampled_from([word, pieces[i] + " " + word, ""]))
+    return "".join(pieces).encode()
+
+
+class TestNeverRaises:
+    COMMANDS = [
+        ["run", "{f}", "--fuel", "50"],
+        ["run", "{f}", "--mode", "small", "--fuel", "50", "--script", "0,1"],
+        ["parse", "{f}"],
+        ["compare", "{f}", "--fuel", "50"],
+        ["bisim", "{f}", "{f}", "--depth-budget", "8"],
+    ]
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(source=st.one_of(st.binary(max_size=64), _mutants()))
+    def test_main_returns_a_status_on_any_file(self, tmp_path, source):
+        path = tmp_path / "fuzz.whl"
+        path.write_bytes(source)
+        for argv in self.COMMANDS:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                status = main([a.format(f=path) for a in argv])
+            assert status in range(6), (argv, source)
+
 
 class TestDeepInput:
     def test_long_seq_chain(self, capsys, tmp_path):
@@ -170,10 +236,20 @@ class TestDeepInput:
         assert run_cli(capsys, "run", str(prog)) == (0, ["{}", "{x=1}", "ended"])
 
     def test_deep_while_nest_is_an_error_not_a_traceback(self, capsys, tmp_path):
-        # statements still nest by recursion in the parser
+        # the parser keeps open statements on a stack, but the printer
+        # still recurses once per nesting level
         prog = tmp_path / "whiles.whl"
         prog.write_text("while x <= 0 do " * 1000 + "skip" + " od" * 1000 + "\n")
         self.assert_one_line_error(capsys, ["parse", str(prog)])
+
+    @pytest.mark.parametrize("mode", ["big", "small"])
+    def test_deep_while_nest_runs(self, capsys, tmp_path, mode):
+        prog = tmp_path / "whiles.whl"
+        prog.write_text("while x <= 0 do " * 1000 + "x := x + 1" + " od" * 1000 + "\n")
+        status, lines = run_cli(capsys, "run", str(prog), "--mode", mode)
+        # each guard is a step: 1,000 entering, the assignment, 1,000 leaving
+        assert status == 0
+        assert lines == ["{}"] * 1001 + ["{x=1}"] * 1001 + ["ended"]
 
     def test_deep_bisim_budget_is_an_error_not_a_traceback(self, capsys):
         self.assert_one_line_error(

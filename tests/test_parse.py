@@ -116,6 +116,34 @@ class TestParse:
             cond = cond.operand
         assert cond == TrueLit()
 
+    @pytest.mark.parametrize("opening, closing, build", [
+        ("while x <= 0 do ", " od", lambda s: While(Le(VarRef(0), NumLit(0)), s)),
+        ("if tt then ", " else skip fi", lambda s: If(TrueLit(), s, Skip())),
+        ("if tt then skip else ", " fi", lambda s: If(TrueLit(), Skip(), s)),
+        ("repeat ", " until ff", lambda s: Seq(s, While(Not(FalseLit()), s))),
+    ])
+    def test_deep_statement_nesting_parses_without_recursion(self, opening, closing,
+                                                              build):
+        # open constructs are frames on a stack, not calls; a repeat body
+        # occurs twice in its desugaring, so == walks 2^depth paths there
+        depth = 5000 if opening.startswith(("while", "if")) else 12
+        got = ast(opening * depth + "x := 1" + closing * depth)
+        want = Assign(0, NumLit(1))
+        for _ in range(depth):
+            want = build(want)
+        assert got == want
+
+    def test_seq_chains_inside_nested_constructs(self):
+        got = ast("while tt do x := 1 ; if ff then skip ; skip else output x fi ;"
+                  " repeat skip ; skip until tt od ; skip")
+        loop = Seq(Skip(), Skip())
+        assert got == Seq(
+            While(TrueLit(), Seq(
+                Assign(0, NumLit(1)),
+                Seq(If(FalseLit(), Seq(Skip(), Skip()), Output(VarRef(0))),
+                    Seq(loop, While(Not(TrueLit()), loop))))),
+            Skip())
+
     def test_name_table_dense_first_appearance(self):
         _, names = parse("y := 1 ; x := y")
         assert names.names == ("y", "x")
@@ -179,6 +207,30 @@ class TestParseErrors:
             parse("if tt then skip else skip")
         assert exc.value.found == "<end of input>"
         assert exc.value.expected
+
+    @pytest.mark.parametrize("src, line, col, expected, found", [
+        # both operands of 'and' are arithmetic: the left one is reported
+        ("x := 1 ; if 1 + 2 and 3 then skip else skip fi", 1, 13,
+         "a boolean expression", "an arithmetic expression"),
+        ("x := 1 = 2 and 3", 1, 16, "a boolean expression", "an arithmetic expression"),
+        # a bad character is reported before an earlier syntax error
+        ("x := ) ; y := @", 1, 15, "a token", "'@'"),
+        # '-' must be followed by a number
+        ("x := - y", 1, 8, "a number", "y"),
+        ("x := 1 ;\n  y := -\n  tt", 3, 3, "a number", "tt"),
+        # 'input' must be followed by a variable name, not a keyword
+        ("input then", 1, 7, "a variable name", "then"),
+        ("input 5", 1, 7, "a variable name", "5"),
+        # errors at the end of input
+        ("while tt do skip", 1, 17, "'od'", "<end of input>"),
+        ("x := (1 + 2", 1, 12, "')'", "<end of input>"),
+        ("skip ;\n", 2, 1, "a statement", "<end of input>"),
+    ])
+    def test_error_position_expected_and_found(self, src, line, col, expected, found):
+        with pytest.raises(ParseError) as exc:
+            parse(src)
+        assert (exc.value.line, exc.value.column) == (line, col)
+        assert (exc.value.expected, exc.value.found) == ([expected], found)
 
 
 class TestPretty:
