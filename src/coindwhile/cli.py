@@ -8,14 +8,15 @@ Exit statuses: 0 ok/agreement, 1 parse or contract error, 2 truncated,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from itertools import zip_longest
 
 # checks and json are imported only by the commands that use them
-# (_cmd_compare, _cmd_bisim, _cmd_responsive and _json_dumps): a command
+# (_cmd_compare, _cmd_bisim, _cmd_responsive and a --json _Render): a command
 # line pays for every import it makes, and most commands need neither
 from . import resumption, trace
-from .parse import NameTable, ParseError, parse, pretty
+from .parse import KEYWORDS, NameTable, ParseError, parse, pretty
 from .syntax import State, is_pure, wrap
 
 EXIT_OK = 0
@@ -60,53 +61,78 @@ def _parse_init(text: str, names: NameTable) -> State:
         if "=" not in item:
             raise CliError(f"bad --init entry: {item!r} (want name=value)")
         name, _, value = item.partition("=")
+        name = name.strip()
+        if not (name.isascii() and name.isidentifier()) or name in KEYWORDS:
+            raise CliError(f"bad --init name: {name!r}")
         try:
             v = wrap(int(value))
         except ValueError:
             raise CliError(f"bad --init value: {value!r}")
-        s = s.upd(names.intern(name.strip()), v)
+        s = s.upd(names.intern(name), v)
     return s
 
 
-def _state_dict(state: State, names: NameTable) -> dict:
-    out = {}
-    for idx, v in state.items():
-        try:
-            out[names.name_of(idx)] = v
-        except LookupError:
-            out[f"_{idx}"] = v
-    return dict(sorted(out.items()))
+# the forms of a line, in text and in JSON: a state, a ret event, and an
+# event of its tag alone or of a tag and a value
+_TEXT = ("{%s}", "ret {%s}", "%s", "%s %s")
+_JSON = ('{"tag": "state", "state": {%s}}', '{"tag": "ret", "state": {%s}}',
+         '{"tag": "%s"}', '{"tag": "%s", "value": %s}')
 
 
-def _render_state(state: State, names: NameTable) -> str:
-    pairs = _state_dict(state, names).items()
-    return "{" + ", ".join(f"{n}={v}" for n, v in pairs) + "}"
+class _Render:
+    """The lines that show states and events, in text or in JSON.
+
+    Built once per run: each name is quoted here and the variables are put
+    in name order once per state length, so that a state costs one walk
+    over its value tuple. An index with no name is shown as ``_N``.
+    """
+
+    def __init__(self, names: NameTable, as_json: bool = False):
+        if as_json:
+            import json
+
+            self._key = lambda name: json.dumps(name) + ": "
+        else:
+            self._key = lambda name: name + "="
+        self._state, self._ret, self._tag, self._value = _JSON if as_json else _TEXT
+        self._names = list(names.names)
+        self._pre = [self._key(name) for name in self._names]
+        self._orders: dict = {}  # state length -> its indices in name order
+
+    def _order(self, n: int) -> list:
+        while len(self._names) < n:
+            self._names.append(f"_{len(self._names)}")
+            self._pre.append(self._key(self._names[-1]))
+        order = self._orders[n] = sorted(range(n), key=self._names.__getitem__)
+        return order
+
+    def state(self, s: State, form: str = "") -> str:
+        """A state line, or the state in form, a %-format of its bindings."""
+        vals = s.values
+        order = self._orders.get(len(vals))
+        if order is None:
+            order = self._order(len(vals))
+        pre = self._pre
+        return (form or self._state) % ", ".join([pre[i] + str(vals[i])
+                                                  for i in order if vals[i]])
+
+    def event(self, ev: tuple) -> str:
+        """An event line; also a witness step such as ("in",) or ("still",)."""
+        if ev[0] == "ret":
+            return self.state(ev[1], self._ret)
+        return (self._tag if len(ev) == 1 else self._value) % ev
 
 
-def _json_dumps(args):
-    """json.dumps if --json was given, else None; json is imported only then."""
-    if not args.json:
-        return None
-    import json
-
-    return json.dumps
+# run output is written to stdout this many lines at a time
+CHUNK_LINES = 1024
 
 
-def _event_line(ev, names: NameTable, dumps) -> str:
-    """An event as a line of text, or as a JSON object through dumps."""
-    tag = ev[0]
-    if dumps is not None:
-        obj = {"tag": tag}
-        if tag == "in" or tag == "out":
-            obj["value"] = ev[1]
-        elif tag == "ret":
-            obj["state"] = _state_dict(ev[1], names)
-        return dumps(obj)
-    if tag == "in" or tag == "out":
-        return f"{tag} {ev[1]}"
-    if tag == "ret":
-        return f"ret {_render_state(ev[1], names)}"
-    return tag
+def _write(lines: list) -> None:
+    """Write the lines to stdout in one write, and empty the list."""
+    lines.append("")
+    sys.stdout.write("\n".join(lines))
+    sys.stdout.flush()
+    lines.clear()
 
 
 _EVENT_EXIT = {
@@ -142,18 +168,18 @@ def _res_for(stmt, init, mode):
 
 
 def _run_states(stmt, names, init, args) -> int:
-    dumps = _json_dumps(args)
+    render = _Render(names, args.json)
+    state, lines = render.state, []
     # the program is pure, so its resumption is a trace; trace.walk yields
     # the states, then None if the fuel ran out
     for s in trace.walk(trace.Trace(_res_for(stmt, init, args.mode)), args.fuel):
         if s is None:
             break
-        if dumps:
-            print(dumps({"tag": "state", "state": _state_dict(s, names)}))
-        else:
-            print(_render_state(s, names))
-    status = "truncated" if s is None else "ended"
-    print(dumps({"tag": status}) if dumps else status)
+        lines.append(state(s))
+        if len(lines) == CHUNK_LINES:
+            _write(lines)
+    lines.append(render.event(("truncated",) if s is None else ("ended",)))
+    _write(lines)
     return EXIT_OK if s is not None else EXIT_TRUNCATED
 
 
@@ -175,15 +201,17 @@ def _input_source(args):
 
 
 def _run_events(stmt, names, init, args) -> int:
-    last = "truncated"
-    dumps = _json_dumps(args)
+    event, lines = _Render(names, args.json).event, []
+    # a person typing the inputs must see each line before the next prompt
+    chunk = 1 if args.interactive else CHUNK_LINES
     # the head is not kept: memoized tails would otherwise retain the prefix
-    # output is block-buffered, except when a person is typing the inputs
     for ev in resumption.drive(_res_for(stmt, init, args.mode),
                                _input_source(args), args.fuel):
-        print(_event_line(ev, names, dumps), flush=args.interactive)
-        last = ev[0]
-    return _EVENT_EXIT.get(last, EXIT_OK)
+        lines.append(event(ev))
+        if len(lines) == chunk:
+            _write(lines)
+    _write(lines)
+    return _EVENT_EXIT.get(ev[0], EXIT_OK)
 
 
 def _run_summary(stmt, names, init, args) -> int:
@@ -195,7 +223,7 @@ def _run_summary(stmt, names, init, args) -> int:
         if s is None:
             print(f"status=truncated steps={steps}")
             return EXIT_TRUNCATED
-        print(f"status=ended steps={steps} state={_render_state(s, names)}")
+        print(f"status=ended steps={steps} state={_Render(names).state(s)}")
         return EXIT_OK
     counts = {"in": 0, "out": 0, "delay": 0}
     for last in resumption.drive(_res_for(stmt, init, args.mode),
@@ -206,7 +234,7 @@ def _run_summary(stmt, names, init, args) -> int:
     line = (f"status={status} in={counts['in']} out={counts['out']}"
             f" delay={counts['delay']}")
     if last[0] == "ret":
-        line += f" state={_render_state(last[1], names)}"
+        line += f" state={_Render(names).state(last[1])}"
     print(line)
     return _EVENT_EXIT.get(last[0], EXIT_OK)
 
@@ -245,20 +273,14 @@ def _cmd_compare(args) -> int:
 # bisim / responsive
 
 
-def _render_head(head, names: NameTable) -> str:
-    if head[0] == "ret":
-        return f"ret {_render_state(head[1], names)}"
-    return " ".join(map(str, head))
-
-
 def _render_path(path, names: NameTable) -> str:
+    event = _Render(names).event
     parts = []
     for step in path:
         if step[0] == "mismatch":
-            parts.append(f"mismatch {_render_head(step[1], names)}"
-                         f" vs {_render_head(step[2], names)}")
+            parts.append(f"mismatch {event(step[1])} vs {event(step[2])}")
         else:
-            parts.append(_render_head(step, names))
+            parts.append(event(step))
     return " ; ".join(parts) if parts else "(start)"
 
 
@@ -417,10 +439,22 @@ def main(argv=None) -> int:
     except RecursionError:
         return _die(f"{args.command}: input or budget nested too deeply"
                     " for the interpreter's recursion limit")
+    except MemoryError:
+        return _die(f"{args.command}: out of memory")
 
 
 def entry():
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()  # here, so that a closed pipe is caught below
+    except BrokenPipeError:
+        # the reader has gone (as with `| head`); point stdout at /dev/null
+        # so that the flush at interpreter exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        status = EXIT_ERROR
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -330,6 +330,11 @@ class State:
         s._vals = vals
         return s
 
+    @property
+    def values(self) -> tuple:
+        """The values of variables 0, 1, 2, ... up to the last one not 0."""
+        return self._vals
+
     def items(self):
         """The bindings to values other than 0, as (variable, value) pairs
         in index order."""

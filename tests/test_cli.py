@@ -3,16 +3,25 @@
 import contextlib
 import io
 import json
+import os
+import queue
+import random
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from coindwhile.cli import main
+from coindwhile import resumption, trace
+from coindwhile.cli import _Render, main
+from coindwhile.parse import NameTable, parse, pretty
+from coindwhile.syntax import State, is_pure
+
+from gen import gen_stmt
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
@@ -160,6 +169,16 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err == f"{bad}: not UTF-8 text (byte 0xff at offset 7)\n"
 
+    @pytest.mark.parametrize("init", ["=5", 'a"b=2', "while=3", "1x=0", "x y=1",
+                                      "\u00e9=1"])
+    def test_init_name_must_be_an_identifier(self, capsys, init):
+        # a name no program can use would be shown in every state line
+        assert main(["run", COUNTER, "--init", init, "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("bad --init name: ")
+        assert len(captured.err.splitlines()) == 1, captured.err
+
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
     def test_any_newline_counts_lines(self, capsys, tmp_path, newline):
         prog = tmp_path / "lines.whl"
@@ -167,6 +186,158 @@ class TestErrors:
         assert main(["parse", str(prog)]) == 1
         assert capsys.readouterr().err == (
             f"{prog}:3:8: expected a token, found '$'\n")
+
+
+# The output of `run` as it was rendered through a dict per state: the
+# oracle for the renderer that is built once per run.
+
+
+def _old_state_dict(state, names):
+    out = {}
+    for idx, v in state.items():
+        try:
+            out[names.name_of(idx)] = v
+        except LookupError:
+            out[f"_{idx}"] = v
+    return dict(sorted(out.items()))
+
+
+def _old_render_state(state, names):
+    pairs = _old_state_dict(state, names).items()
+    return "{" + ", ".join(f"{n}={v}" for n, v in pairs) + "}"
+
+
+def _old_state_line(state, names, as_json):
+    if as_json:
+        return json.dumps({"tag": "state", "state": _old_state_dict(state, names)})
+    return _old_render_state(state, names)
+
+
+def _old_event_line(ev, names, as_json):
+    tag = ev[0]
+    if as_json:
+        obj = {"tag": tag}
+        if tag == "in" or tag == "out":
+            obj["value"] = ev[1]
+        elif tag == "ret":
+            obj["state"] = _old_state_dict(ev[1], names)
+        return json.dumps(obj)
+    if tag == "in" or tag == "out":
+        return f"{tag} {ev[1]}"
+    if tag == "ret":
+        return f"ret {_old_render_state(ev[1], names)}"
+    return tag
+
+
+def _old_run_output(path, mode, emit, as_json, script, fuel):
+    """What `run` printed for this file before the renderer was built once
+    per run, from the interpreters themselves."""
+    stmt, names = parse(Path(path).read_text())
+    interp = resumption.eval_res if mode == "big" else resumption.norm_res
+    lines = []
+    if emit == "states":
+        for s in trace.walk(trace.Trace(interp(stmt, State.empty())), fuel):
+            if s is None:
+                break
+            lines.append(_old_state_line(s, names, as_json))
+        status = "truncated" if s is None else "ended"
+        lines.append(json.dumps({"tag": status}) if as_json else status)
+    else:
+        it = iter(script)
+        for ev in resumption.drive(interp(stmt, State.empty()),
+                                   lambda: next(it, None), fuel):
+            lines.append(_old_event_line(ev, names, as_json))
+    return "".join(line + "\n" for line in lines)
+
+
+def _generated_programs(tmp_path):
+    """Two random programs, one pure and one with I/O, whose variables are
+    numbered in another order than their names sort in. The seeds give
+    states of two and three variables that are not 0."""
+    paths = []
+    for seed, depth, io_ in ((218, 7, False), (181, 6, True)):
+        names = NameTable(["zeta", "b", "A", "_c"])
+        path = tmp_path / f"gen{seed}.whl"
+        path.write_text(pretty(gen_stmt(random.Random(seed), depth, io_), names) + "\n")
+        paths.append(str(path))
+    return paths
+
+
+class _CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+_NAME = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,6}", fullmatch=True).filter(
+    lambda n: not re.fullmatch(r"_[0-9]+", n))  # not a fallback name itself
+
+
+class TestOutput:
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    @pytest.mark.parametrize("mode", ["big", "small"])
+    def test_run_output_is_byte_identical_to_the_old_rendering(
+            self, capsys, tmp_path, mode, as_json):
+        script = [0, 0, 7, -1, 2**63 - 1, -2**63, 0, 5]
+        for path in sorted(map(str, PROGRAMS.glob("*.whl"))) + _generated_programs(tmp_path):
+            stmt, _ = parse(Path(path).read_text())
+            for emit in (["states", "events"] if is_pure(stmt) else ["events"]):
+                argv = ["run", path, "--mode", mode, "--emit", emit, "--fuel", "300",
+                        "--script", ",".join(map(str, script))] + ["--json"] * as_json
+                main(argv)
+                got = capsys.readouterr().out
+                want = _old_run_output(path, mode, emit, as_json, script, 300)
+                # as lists of lines: a failing report then names the first line
+                # that differs, where a diff of the whole text takes minutes
+                assert got.splitlines(True) == want.splitlines(True), argv
+
+    @settings(max_examples=200, deadline=None)
+    @given(bindings=st.dictionaries(st.integers(0, 12),
+                                    st.integers(-2**63, 2**63 - 1), max_size=8),
+           names=st.lists(_NAME, max_size=10, unique=True))
+    @example(bindings={}, names=[])
+    @example(bindings={5: 1, 0: -1}, names=["b", "a"])
+    def test_state_lines_match_the_old_rendering(self, bindings, names):
+        table = NameTable(names)
+        s = State(bindings)
+        text, as_json = _Render(table), _Render(table, True)
+        assert text.state(s) == _old_render_state(s, table)
+        assert text.event(("ret", s)) == _old_event_line(("ret", s), table, False)
+        assert as_json.state(s) == _old_state_line(s, table, True)
+        assert as_json.event(("ret", s)) == _old_event_line(("ret", s), table, True)
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_output_is_written_in_chunks(self, monkeypatch, tmp_path, as_json):
+        prog = tmp_path / "count.whl"
+        prog.write_text("i := 0 ; while tt do i := i + 1 od\n")
+        out = _CountingStdout()
+        monkeypatch.setattr(sys, "stdout", out)
+        status = main(["run", str(prog), "--fuel", "20000"] + ["--json"] * as_json)
+        assert status == 2
+        assert out.getvalue().count("\n") == 20001  # 20,000 states and "truncated"
+        assert out.writes <= 30, out.writes
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_a_closed_pipe_is_exit_1_without_a_traceback(self, flags, unbuffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        # 200,001 lines are more than a pipe holds, so the run outlives the reader
+        with subprocess.Popen(
+                [sys.executable, "-m", "coindwhile", "run", LOOP, "--fuel", "200000",
+                 *flags], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            status = proc.wait(timeout=60)
+        assert first.rstrip(b"\n") in (b"{}", b'{"tag": "state", "state": {}}')
+        assert status == 1
+        assert "Traceback" not in err and "Exception ignored" not in err, err
 
 
 # a piece of source: blanks, a comment, or a token (one character if bad)
@@ -441,3 +612,33 @@ class TestInteractive:
         )
         assert proc.returncode == 3
         assert proc.stdout.splitlines()[-1] == "input-exhausted"
+
+    def test_each_line_is_written_before_the_next_input_is_read(self):
+        lines = queue.Queue()
+
+        def send(value):
+            proc.stdin.write(f"{value}\n")
+            proc.stdin.flush()
+
+        def read_lines(n):
+            # a line not written before the next input is read never comes
+            return [lines.get(timeout=30).rstrip("\n") for _ in range(n)]
+
+        with subprocess.Popen(
+                [sys.executable, "-m", "coindwhile", "run", ECHO, "--interactive"],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL, text=True) as proc:
+            reader = threading.Thread(target=lambda: [lines.put(x) for x in proc.stdout])
+            reader.start()
+            try:
+                # the next value is sent only once the lines of the last are out
+                send(0)
+                assert read_lines(3) == ["in 0", "delay", "out 0"]
+                send(7)
+                assert read_lines(3) == ["in 7", "delay", "ret {x=7}"]
+                proc.stdin.close()
+                assert proc.wait(timeout=30) == 0
+            finally:
+                proc.kill()
+                reader.join(timeout=30)
+        assert not reader.is_alive()
