@@ -6,9 +6,16 @@ works within explicit budgets and reports one of three verdicts: confirmed
 up to the bounds, refuted with a replayable witness, or budget exhausted.
 Refutation (Distinguished / LatencyExceeded) is sound; the positive verdicts
 only mean "no counterexample within the bounds".
+
+delay_bisim and responsive share one search, _search: a depth-first walk
+on an explicit stack that counts one node per visit, so the depth budget
+costs no recursion. delay_bisim and replay_witness share one rule for
+matching the heads of a pair, _pair_step.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 from .resumption import Res
 from .syntax import Record
@@ -53,9 +60,10 @@ class LatencyExceeded(Record):
 ResponsiveVerdict = ResponsiveUpToBounds | LatencyExceeded | BudgetExhausted
 
 
-# At most this many search calls per bisim or responsive query, so a program
-# that reads forever (len(sample) ** depth paths) ends in BudgetExhausted
-# ("nodes"). A depth-6 query under two sample values makes 2^7 - 1 calls.
+# At most this many nodes are visited per bisim or responsive query, so a
+# program that reads forever (len(sample) ** depth paths) ends in
+# BudgetExhausted("nodes"). A depth-6 query under two sample values visits
+# 2^7 - 1 nodes.
 NODE_BUDGET = 100_000
 
 
@@ -106,40 +114,85 @@ def strip_delays(r: Res, budget: int) -> StripResult:
 
 
 # ---------------------------------------------------------------------------
+# bounded search
+
+
+def _search(root, expand, depth_budget: int, ok):
+    """Explore the tree below root depth-first, to depth_budget levels and
+    at most NODE_BUDGET nodes, counting one node per visit.
+
+    expand(node, path) gives the ordered (step, child) successors of a node,
+    or the verdict that ends its branch. A BudgetExhausted("delay") verdict
+    is kept, and the first one is returned only if the search finds nothing
+    else; any other verdict, or a spent node budget, ends the search at once.
+    path is one list of steps, cut back to each node's level as it is
+    visited, so depth costs neither recursion nor a path copy per node; a
+    verdict that keeps it must copy it.
+    """
+    path = []
+    stack = [(0, None, root)]
+    nodes = NODE_BUDGET
+    exhausted = None
+    while stack:
+        level, step, node = stack.pop()
+        if level:
+            del path[level - 1:]
+            path.append(step)
+        if nodes <= 0:
+            return BudgetExhausted("nodes", tuple(path))
+        nodes -= 1
+        if level >= depth_budget:
+            continue
+        result = expand(node, path)
+        if type(result) is list:
+            level += 1
+            for s, child in reversed(result):
+                stack.append((level, s, child))
+        elif type(result) is not BudgetExhausted:
+            return result
+        elif exhausted is None:
+            exhausted = result
+    return ok if exhausted is None else exhausted
+
+
+# ---------------------------------------------------------------------------
 # delay-bisimilarity
 
 
 def _head_desc(head: tuple):
-    if head[0] == "ret":
-        return ("ret", head[1])
-    if head[0] == "in":
-        return ("in",)
-    if head[0] == "out":
-        return ("out", head[1])
-    return ("still",)
+    return ("in",) if head[0] == "in" else head[:2]
 
 
-def _resolve_pair(r0: Res, r1: Res, delay_budget: int):
-    """Strip delays on both sides until both heads resolve.
+def _pair_step(delay_budget: int, sample: tuple, pair: tuple, path: list):
+    """Resolve the heads of a pair of resumptions and match them.
 
-    When both sides are still delaying after a full strip, one synchronized
-    delay pair is consumed and stripping restarts; at most delay_budget such
-    synchronized steps are taken before giving up. Returns (head0, head1)
-    or None if the delay budget ran out.
+    Delays are stripped on both sides. When both sides are still delaying
+    after a full strip, one synchronized delay pair is consumed and stripping
+    restarts, at most delay_budget times. Returns the ordered (step, pair)
+    successors, one per sample value for two inputs, one for equal outputs
+    and none for equal final states; otherwise the verdict at path,
+    Distinguished or BudgetExhausted("delay").
     """
+    r0, r1 = pair
     syncs = 0
     while True:
-        p0 = strip_delays(r0, delay_budget)
-        p1 = strip_delays(r1, delay_budget)
-        still0 = p0.head[0] == "still"
-        still1 = p1.head[0] == "still"
-        if not still0 and not still1:
-            return (p0.head, p1.head)
-        if still0 != still1 or syncs >= delay_budget:
-            return None
-        r0 = p0.head[1].step()[1]
-        r1 = p1.head[1].step()[1]
+        h0 = strip_delays(r0, delay_budget).head
+        h1 = strip_delays(r1, delay_budget).head
+        if h0[0] != "still" and h1[0] != "still":
+            break
+        if h0[0] != h1[0] or syncs >= delay_budget:
+            return BudgetExhausted("delay", tuple(path))
+        r0 = h0[1].step()[1]
+        r1 = h1[1].step()[1]
         syncs += 1
+    if h0[0] == h1[0] == "in":
+        f0, f1 = h0[1], h1[1]
+        return [(("in", v), (f0(v), f1(v))) for v in sample]
+    if h0[0] != h1[0] or h0[1] != h1[1]:
+        return Distinguished((*path, ("mismatch", _head_desc(h0), _head_desc(h1))))
+    if h0[0] == "out":
+        return [(("out", h0[1]), (h0[2], h1[2]))]
+    return []  # equal final states
 
 
 def delay_bisim(r0: Res, r1: Res, cfg: BisimConfig = BisimConfig()) -> Verdict:
@@ -150,74 +203,24 @@ def delay_bisim(r0: Res, r1: Res, cfg: BisimConfig = BisimConfig()) -> Verdict:
     values; successors are explored to cfg.depth_budget unfoldings, and at
     most NODE_BUDGET pairs are explored in all.
     """
-    return _bisim(r0, r1, cfg, cfg.depth_budget, (), [NODE_BUDGET])
-
-
-def _bisim(r0: Res, r1: Res, cfg: BisimConfig, depth: int, path: tuple,
-           nodes: list) -> Verdict:
-    # nodes is [calls the query may still make], shared by the whole query
-    if nodes[0] <= 0:
-        return BudgetExhausted("nodes", path)
-    nodes[0] -= 1
-    if depth <= 0:
-        return EquivalentUpToBounds()
-    resolved = _resolve_pair(r0, r1, cfg.delay_budget)
-    if resolved is None:
-        return BudgetExhausted("delay", path)
-    h0, h1 = resolved
-    if h0[0] != h1[0]:
-        return Distinguished(path + (("mismatch", _head_desc(h0), _head_desc(h1)),))
-    if h0[0] == "ret":
-        if h0[1] == h1[1]:
-            return EquivalentUpToBounds()
-        return Distinguished(path + (("mismatch", _head_desc(h0), _head_desc(h1)),))
-    if h0[0] == "out":
-        if h0[1] != h1[1]:
-            return Distinguished(path + (("mismatch", _head_desc(h0), _head_desc(h1)),))
-        return _bisim(h0[2], h1[2], cfg, depth - 1, path + (("out", h0[1]),), nodes)
-    # both waiting for input: probe the continuations pointwise
-    f0, f1 = h0[1], h1[1]
-    exhausted = None
-    for v in cfg.input_sample:
-        verdict = _bisim(f0(v), f1(v), cfg, depth - 1, path + (("in", v),), nodes)
-        if isinstance(verdict, Distinguished):
-            return verdict
-        if isinstance(verdict, BudgetExhausted):
-            if verdict.budget == "nodes":
-                return verdict
-            if exhausted is None:
-                exhausted = verdict
-    return exhausted if exhausted is not None else EquivalentUpToBounds()
+    expand = partial(_pair_step, cfg.delay_budget, cfg.input_sample)
+    return _search((r0, r1), expand, cfg.depth_budget, EquivalentUpToBounds())
 
 
 def replay_witness(r0: Res, r1: Res, cfg: BisimConfig, witness: tuple) -> bool:
-    """Re-run a Distinguished witness; True iff it reproduces a disagreement."""
+    """Re-run a Distinguished witness; True iff it reproduces a disagreement.
+
+    Each step must be the only successor of the pair when its heads are
+    probed with that step's value alone, so an input value need not lie in
+    cfg.input_sample.
+    """
+    pair = (r0, r1)
     for step in witness[:-1]:
-        resolved = _resolve_pair(r0, r1, cfg.delay_budget)
-        if resolved is None:
+        succ = _pair_step(cfg.delay_budget, step[1:], pair, [])
+        if type(succ) is not list or len(succ) != 1 or succ[0][0] != step:
             return False
-        h0, h1 = resolved
-        if step[0] == "in":
-            if h0[0] != "in" or h1[0] != "in":
-                return False
-            r0, r1 = h0[1](step[1]), h1[1](step[1])
-        elif step[0] == "out":
-            if h0[0] != "out" or h1[0] != "out" or not (h0[1] == h1[1] == step[1]):
-                return False
-            r0, r1 = h0[2], h1[2]
-        else:
-            return False
-    resolved = _resolve_pair(r0, r1, cfg.delay_budget)
-    if resolved is None:
-        return False
-    h0, h1 = resolved
-    if h0[0] != h1[0]:
-        return True
-    if h0[0] == "ret":
-        return h0[1] != h1[1]
-    if h0[0] == "out":
-        return h0[1] != h1[1]
-    return False
+        pair = succ[0][1]
+    return type(_pair_step(cfg.delay_budget, (), pair, [])) is Distinguished
 
 
 # ---------------------------------------------------------------------------
@@ -237,32 +240,19 @@ def responsive(
         raise ValueError("budgets must be positive")
     if not input_sample:
         raise ValueError("input sample must be nonempty")
-    return _responsive(r, latency_budget, depth_budget, tuple(input_sample), (),
-                       [NODE_BUDGET])
+    sample = tuple(input_sample)
 
+    def expand(r, path):
+        head = strip_delays(r, latency_budget).head
+        if head[0] == "still":
+            return LatencyExceeded(tuple(path))
+        if head[0] == "in":
+            return [(("in", v), head[1](v)) for v in sample]
+        if head[0] == "out":
+            return [(("out", head[1]), head[2])]
+        return []  # terminated
 
-def _responsive(r, latency, depth, sample, path, nodes) -> ResponsiveVerdict:
-    # nodes is as in _bisim
-    if nodes[0] <= 0:
-        return BudgetExhausted("nodes", path)
-    nodes[0] -= 1
-    if depth <= 0:
-        return ResponsiveUpToBounds()
-    p = strip_delays(r, latency)
-    head = p.head
-    if head[0] == "still":
-        return LatencyExceeded(path)
-    if head[0] == "ret":
-        return ResponsiveUpToBounds()
-    if head[0] == "out":
-        return _responsive(head[2], latency, depth - 1, sample,
-                           path + (("out", head[1]),), nodes)
-    f = head[1]
-    for v in sample:
-        verdict = _responsive(f(v), latency, depth - 1, sample, path + (("in", v),), nodes)
-        if not isinstance(verdict, ResponsiveUpToBounds):
-            return verdict
-    return ResponsiveUpToBounds()
+    return _search(r, expand, depth_budget, ResponsiveUpToBounds())
 
 
 # ---------------------------------------------------------------------------

@@ -437,7 +437,7 @@ def main(argv=None) -> int:
     except trace.ImpureProgramError as exc:
         return _die(str(exc))
     except RecursionError:
-        return _die(f"{args.command}: input or budget nested too deeply"
+        return _die(f"{args.command}: input nested too deeply"
                     " for the interpreter's recursion limit")
     except MemoryError:
         return _die(f"{args.command}: out of memory")

@@ -51,6 +51,7 @@ from .syntax import (
     Var,
     VarRef,
     While,
+    strip_nots,
     wrap,
 )
 
@@ -386,7 +387,8 @@ def _pe(e, names: NameTable, ctx: int) -> str:
     if t is FalseLit:
         return "ff"
     if t is Not:
-        prec, text = _NOT, f"not {_pe(e.operand, names, _NOT)}"
+        n, e = strip_nots(e)
+        prec, text = _NOT, "not " * n + _pe(e, names, _NOT)
     elif t in _SPELLING:
         op = _SPELLING[t]
         prec = _BINARY[op][0]

@@ -381,6 +381,17 @@ def aexp(a: AExp, s: State) -> Val:
     raise TypeError(f"not an arithmetic expression: {a!r}")
 
 
+def strip_nots(b: BExp) -> tuple[int, BExp]:
+    """The number of Not nodes that b starts with, and the expression under
+    them. A loop, so that a long chain of negations costs no recursion in
+    bexp, compile_bexp or the printer."""
+    n = 0
+    while type(b) is Not:
+        n += 1
+        b = b.operand
+    return n, b
+
+
 def bexp(b: BExp, s: State) -> bool:
     t = type(b)
     if t is Le:
@@ -392,7 +403,8 @@ def bexp(b: BExp, s: State) -> bool:
     if t is FalseLit:
         return False
     if t is Not:
-        return not bexp(b.operand, s)
+        n, b = strip_nots(b)
+        return bexp(b, s) if n % 2 == 0 else not bexp(b, s)
     if t is And:
         return bexp(b.left, s) and bexp(b.right, s)
     if t is Or:
@@ -442,8 +454,9 @@ def compile_bexp(b: BExp) -> Callable[[State], bool]:
             return lambda s: l(s) == r(s)
         return lambda s: l(s) <= r(s)
     if t is Not:
-        x = compile_bexp(b.operand)
-        return lambda s: not x(s)
+        n, b = strip_nots(b)
+        x = compile_bexp(b)
+        return x if n % 2 == 0 else lambda s: not x(s)
     if t is And or t is Or:
         l, r = compile_bexp(b.left), compile_bexp(b.right)
         if t is And:

@@ -2,6 +2,7 @@
 and trace-prefix equality."""
 
 import random
+import time
 
 import pytest
 
@@ -244,6 +245,49 @@ class TestNodeBudget:
             assert getattr(verdict, "budget", None) != "nodes"
             verdict = responsive(eval_res(stmt, s), 8, 6, (0, 1))
             assert getattr(verdict, "budget", None) != "nodes"
+
+
+class TestDeepSearch:
+    def test_a_node_budget_query_costs_the_same_per_node_at_any_depth(self):
+        # the search keeps one path list and no call frame per level, so a
+        # query that ends at the node budget takes about a second at any
+        # depth; a path copied per node would make this take over a minute
+        r = eval_res(ast("while tt do output 5 od"), EMPTY)
+        cfg = BisimConfig(depth_budget=10**6)
+        for check in (lambda: delay_bisim(r, r, cfg), lambda: responsive(r, 16, 10**6)):
+            start = time.perf_counter()
+            verdict = check()
+            assert time.perf_counter() - start < 10.0
+            assert verdict == BudgetExhausted("nodes", (("out", 5),) * checks.NODE_BUDGET)
+
+
+class TestReplayWitness:
+    CFG = BisimConfig(delay_budget=4, depth_budget=8, input_sample=(0, 1))
+    # both output 1, then end in different states
+    R0 = eval_res(ast("output 1 ; x := 1"), EMPTY)
+    R1 = eval_res(ast("output 1 ; x := 2"), EMPTY)
+    END = ("mismatch", ("ret", EMPTY.upd(0, 1)), ("ret", EMPTY.upd(0, 2)))
+
+    def test_the_found_witness_replays(self):
+        verdict = delay_bisim(self.R0, self.R1, self.CFG)
+        assert verdict == Distinguished((("out", 1), self.END))
+        assert replay_witness(self.R0, self.R1, self.CFG, verdict.witness)
+
+    @pytest.mark.parametrize("witness", [
+        (("out", 2), END),  # a wrong output value
+        (("in", 1), END),  # an input step where both heads are outputs
+        (("delay",), ("out", 1), END),  # delays are not steps of a witness
+        (END,),  # the witness ends where both heads output 1
+    ])
+    def test_a_wrong_witness_does_not_replay(self, witness):
+        assert not replay_witness(self.R0, self.R1, self.CFG, witness)
+
+    def test_an_input_outside_the_sample_replays(self):
+        r0 = eval_res(ast("input x ; output x"), EMPTY)
+        r1 = eval_res(ast("input x ; if x = 7 then output 0 else output x fi"), EMPTY)
+        assert delay_bisim(r0, r1, self.CFG) == EquivalentUpToBounds()
+        witness = (("in", 7), ("mismatch", ("out", 7), ("out", 0)))
+        assert replay_witness(r0, r1, self.CFG, witness)
 
 
 class TestTraceEq:

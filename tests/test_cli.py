@@ -422,10 +422,23 @@ class TestDeepInput:
         assert status == 0
         assert lines == ["{}"] * 1001 + ["{x=1}"] * 1001 + ["ended"]
 
-    def test_deep_bisim_budget_is_an_error_not_a_traceback(self, capsys):
-        self.assert_one_line_error(
-            capsys, ["bisim", EMIT, EMIT, "--depth-budget", "5000"]
-        )
+    def test_deep_depth_budget_is_searched(self, capsys):
+        # the checkers search on an explicit stack, so depth costs no recursion
+        assert run_cli(capsys, "bisim", EMIT, EMIT, "--depth-budget", "5000") == (
+            0, ["equivalent up to bounds"])
+        assert run_cli(capsys, "responsive", EMIT, "--depth-budget", "5000") == (
+            0, ["responsive up to bounds"])
+
+    @pytest.mark.parametrize("nots, status, last", [(3000, 2, "truncated"), (3001, 0, "ended")])
+    def test_long_not_chain_parses_and_runs(self, capsys, tmp_path, nots, status, last):
+        # a chain of negations prints with a loop and is folded by parity
+        source = "while " + "not " * nots + "tt do skip od"
+        prog = tmp_path / "nots.whl"
+        prog.write_text(source + "\n")
+        assert run_cli(capsys, "parse", str(prog)) == (0, [source])
+        for mode in ("big", "small"):
+            got, lines = run_cli(capsys, "run", str(prog), "--mode", mode, "--fuel", "4")
+            assert (got, lines[-1]) == (status, last)
 
 
 class TestCompare:
