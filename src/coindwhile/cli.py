@@ -274,14 +274,19 @@ def _cmd_compare(args) -> int:
 
 
 def _render_path(path, names: NameTable) -> str:
+    """The steps of path; one longer than 16 steps is cut to its first and
+    last 8, so that a path of any length prints as one short line."""
     event = _Render(names).event
-    parts = []
-    for step in path:
+
+    def render(step):
         if step[0] == "mismatch":
-            parts.append(f"mismatch {event(step[1])} vs {event(step[2])}")
-        else:
-            parts.append(event(step))
-    return " ; ".join(parts) if parts else "(start)"
+            return f"mismatch {event(step[1])} vs {event(step[2])}"
+        return event(step)
+
+    if len(path) <= 16:
+        return " ; ".join(map(render, path)) or "(start)"
+    cut = f"... ({len(path) - 16} more) ..."
+    return " ; ".join([*map(render, path[:8]), cut, *map(render, path[-8:])])
 
 
 def _cmd_bisim(args) -> int:

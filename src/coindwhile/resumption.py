@@ -17,20 +17,27 @@ no state and record None. A trace is a resumption that never does input or
 output: ``trace.Trace`` reads ``("delay", rest, s)`` as ``(s, rest)`` and
 ``("ret", s)`` as ``(s, None)``.
 
-The big-step interpreter ``eval_res`` runs closures in continuation-passing
-style (``_compile``) that build these tuples themselves. Each statement is
-compiled on first entry, so a run compiles only what it reaches. The
+Each observation is one memo cell ``Res(fn, arg)``, forced once as
+``fn(arg)``; it then drops both, keeping only the observation. The big-step
+interpreter ``eval_res`` runs code made by ``_compile`` when a statement is
+first entered, so a run compiles only what it reaches; each statement calls
+the code of the one after it directly, and a cell holds that code or a
+function made at compile time, with the state as its argument. The
 small-step interpreter ``norm_res`` runs configurations
 ``(stmt, context, state)``. The context is the stack of ``Seq`` second
 components still to run, and it is kept from one step to the next
 (refocusing, Danvy & Nielsen 2004), so a step costs the same however deeply
-the running statement sits inside nested sequences. ``red_res`` plugs the
-context back into a statement.
+the running statement sits inside nested sequences. A cell holds ``_resume``
+and the tuple of the step before. ``red_res`` plugs the context back into a
+statement. Both evaluate expressions through the closures that
+``syntax.compile_aexp``/``compile_bexp`` cache on the expression nodes.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
+from functools import partial
+from types import FunctionType
 
 from .syntax import (
     SKIP,
@@ -45,33 +52,33 @@ from .syntax import (
     Stmt,
     Val,
     While,
-    aexp,
-    bexp,
     compile_aexp,
     compile_bexp,
 )
 
 
 class Res:
-    """A suspended resumption; ``step()`` forces and memoizes one observation."""
+    """A suspended resumption; ``step()`` forces it once, as ``fn(arg)``,
+    memoizes the observation and drops ``fn`` and ``arg``."""
 
-    __slots__ = ("_force", "_obs", "__weakref__")
+    __slots__ = ("_fn", "_arg", "_obs", "__weakref__")
 
-    def __init__(self, force: Callable[[], tuple]):
-        self._force = force
+    def __init__(self, fn: Callable[[object], tuple], arg: object):
+        self._fn = fn
+        self._arg = arg
         self._obs = None
 
     def step(self) -> tuple:
         obs = self._obs
         if obs is None:
-            obs = self._obs = self._force()
-            self._force = None
+            obs = self._obs = self._fn(self._arg)
+            self._fn = self._arg = None
         return obs
 
     @staticmethod
     def _of(obs: tuple) -> "Res":
         r = Res.__new__(Res)
-        r._force = None
+        r._fn = r._arg = None
         r._obs = obs
         return r
 
@@ -93,7 +100,11 @@ class Res:
 
     @staticmethod
     def suspend(make: Callable[[], "Res"]) -> "Res":
-        return Res(lambda: make().step())
+        return Res(_first_of, make)
+
+
+def _first_of(make: Callable[[], Res]) -> tuple:
+    return make().step()
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +155,8 @@ def echo_div() -> Res:
 # A context is None or (second, context): the Seq second components still to
 # run, innermost first. Both interpreters walk sequences with it. It is a
 # persistent linked stack, so configurations (stmt, context, state) share
-# their tails and one small step allocates no Seq.
+# their tails and one small step allocates no Seq. In _compile a context ends
+# in compiled code instead of None: the code that runs after its statements.
 Context = tuple | None
 
 
@@ -153,117 +165,114 @@ def eval_res(stmt: Stmt, s: State) -> Res:
 
     Same delay placement as the pure trace semantics: skip is silent,
     assignment and guard tests each delay once; input/output statements
-    perform their action and terminate. Runs CPS code (``_compile``) whose
-    continuation is the rest of the run; this is the denotation of seque_res
-    and loop_res below, unfolded by associativity of sequencing. Each
-    statement is compiled on first entry, so a run pays only for the
-    statements it reaches, and a malformed node raises ``TypeError`` when
-    the run reaches it, not before.
+    perform their action and terminate. Runs the code that ``_compile``
+    makes, in which each statement calls the code of the one after it; this
+    is the denotation of seque_res and loop_res below, unfolded by
+    associativity of sequencing. Each statement is compiled on first entry,
+    so a run pays only for the statements it reaches, and a malformed node
+    raises ``TypeError`` when the run reaches it, not before.
     """
-    return Res(lambda: _compile(stmt)(s, _ret))
+    return Res(lambda s: _compile(stmt, (_ret, None))(s), s)
 
 
 def _ret(s: State) -> tuple:
     return ("ret", s)
 
 
-# Code: a compiled statement. code(s, k) is the first observation of running
-# it from s and then continuing with k, from its final state.
-Code = Callable[[State, Callable[[State], tuple]], tuple]
+# Code: compiled statements. code(s) is the first observation of running
+# them from s and then the rest of the program.
+Code = Callable[[State], tuple]
 
 
-def _skip(s: State, k: Callable[[State], tuple]) -> tuple:
-    return k(s)
-
-
-def _first(stmt: Stmt, ctx: Context) -> tuple | None:
+def _first(stmt: Stmt, ctx: Context) -> tuple:
     """The first statement of the configuration (stmt, ctx) that is neither
-    a Seq nor a Skip, with the context after it; None if it only skips."""
+    a Seq nor a Skip, or else the code that ctx ends in, with the context
+    after it."""
     while True:
         t = type(stmt)
         if t is Seq:
             ctx = (stmt.second, ctx)
             stmt = stmt.first
-        elif t is not Skip:
-            return stmt, ctx
-        elif ctx is None:
-            return None
-        else:
+        elif t is Skip:
             stmt, ctx = ctx
+        else:
+            return stmt, ctx
 
 
-def _compile(stmt: Stmt, ctx: Context = None) -> Code:
-    """CPS code for the configuration (stmt, ctx).
+def _delay(then: Code) -> Code:
+    """Code that takes one silent step from s, whose memo cell runs then(s)."""
+    return lambda s: ("delay", Res(then, s), s)
+
+
+def _compile(stmt: Stmt, ctx: Context) -> Code:
+    """Code for the configuration (stmt, ctx).
 
     Only the first statement to run is compiled now: its guard or its
-    expression. Each part that runs later (the branches of an if, a loop
-    body, the rest of the sequence) starts as a stub that compiles it when
+    expression. Each part that runs later (the code after it, ``rest``, the
+    branches of an if, a loop body) starts as a stub that compiles it when
     first called and rebinds the variable its parent reads, so later calls
-    go straight to compiled code and nothing here recurses. Skip calls k at
-    once; assignment, if and each guard test emit one delay whose memo cell
-    runs the rest. Sequences are walked on the context stack, as in _red
-    (sequencing is associative and skip is its identity), and a loop's body
-    continues with the loop's own guard test, so the calls between two
-    observations are bounded by the syntax of one statement, not by the
-    depth of the Seq tree or of the loop nest.
+    go straight to compiled code and nothing here recurses. Sequences are
+    walked on the context stack, as in _red; the branches of an if end in
+    the if's ``rest`` and a loop body in the loop's own guard test. So the
+    calls between two observations are bounded by the syntax of one
+    statement, not by the depth of the Seq tree or of the loop nest.
     """
-    first = _first(stmt, ctx)
-    if first is None:
-        return _skip
-    stmt, ctx = first
+    stmt, ctx = _first(stmt, ctx)
+    if type(stmt) is FunctionType:
+        return stmt
+    after = _first(*ctx)
+    if type(after[0]) is FunctionType:
+        rest = after[0]
+    else:
+
+        def rest(s):
+            # memo cells and branches hold this stub too: once it has
+            # compiled, a call through it only forwards
+            nonlocal rest, after
+            if after:
+                rest, after = _compile(*after), None
+            return rest(s)
+
     t = type(stmt)
     if t is Assign:
         x, e = stmt.var, compile_aexp(stmt.expr)
-        code = lambda s, k: ("delay", Res(lambda: k(s.upd(x, e(s)))), s)
-    elif t is If:
+        return _delay(lambda s: rest(s.upd(x, e(s))))
+    if t is If:
         c, then, orelse = compile_bexp(stmt.cond), stmt.then, stmt.orelse
 
-        def a(s, k):
+        def a(s):
             nonlocal a
-            a = _compile(then)
-            return a(s, k)
+            a = _compile(then, (rest, None))
+            return a(s)
 
-        def b(s, k):
+        def b(s):
             nonlocal b
-            b = _compile(orelse)
-            return b(s, k)
+            b = _compile(orelse, (rest, None))
+            return b(s)
 
-        code = lambda s, k: ("delay", Res(lambda: a(s, k) if c(s) else b(s, k)), s)
-    elif t is While:
+        return _delay(lambda s: a(s) if c(s) else b(s))
+    if t is While:
         c, inner = compile_bexp(stmt.cond), stmt.body
 
-        def body(s, k):
+        def body(s):
             nonlocal body
-            body = _compile(inner)
-            return body(s, k)
+            body = _compile(inner, (test, None))
+            return body(s)
 
-        def code(s, k):
-            def loop(s):
-                return ("delay", Res(lambda: body(s, loop) if c(s) else k(s)), s)
-
-            return loop(s)
-
-    elif t is Input:
+        test = _delay(lambda s: body(s) if c(s) else rest(s))
+        return test
+    if t is Input:
         x = stmt.var
-        # f may be called any number of times: checkers probe and replay it
-        code = lambda s, k: ("in", lambda v: Res(lambda: k(s.upd(x, v))))
-    elif t is Output:
+
+        # called any number of times: checkers probe and replay it
+        def read(s, v):
+            return Res(rest, s.upd(x, v))
+
+        return lambda s: ("in", partial(read, s))
+    if t is Output:
         e = compile_aexp(stmt.expr)
-        code = lambda s, k: ("out", e(s), Res(lambda: k(s)))
-    else:
-        raise TypeError(f"not a statement: {stmt!r}")
-    # look past the Skips after stmt: code that ends a run must call k
-    # itself, or each nesting level would add a frame to the final k chain
-    after = None if ctx is None else _first(*ctx)
-    if after is None:
-        return code
-
-    def rest(s, k):
-        nonlocal rest
-        rest = _compile(*after)
-        return rest(s, k)
-
-    return lambda s, k: code(s, lambda s1: rest(s1, k))
+        return lambda s: ("out", e(s), Res(rest, s))
+    raise TypeError(f"not a statement: {stmt!r}")
 
 
 def seque_res(k: Callable[[State], Res], r: Res) -> Res:
@@ -367,7 +376,7 @@ def _red(stmt: Stmt, k: Context, s: State) -> tuple:
     tagged tuple:
 
         ("ret", state)
-        ("in", stmt, k, update)        update: Val -> State
+        ("in", var, stmt, k, state)    the input is read into var
         ("out", value, stmt, k, state)
         ("delay", stmt, k, state)
 
@@ -385,18 +394,18 @@ def _red(stmt: Stmt, k: Context, s: State) -> tuple:
                 return ("ret", s)
             stmt, k = k
         elif t is Assign:
-            return ("delay", SKIP, k, s.upd(stmt.var, aexp(stmt.expr, s)))
+            return ("delay", SKIP, k, s.upd(stmt.var, compile_aexp(stmt.expr)(s)))
         elif t is If:
-            return ("delay", stmt.then if bexp(stmt.cond, s) else stmt.orelse, k, s)
+            holds = compile_bexp(stmt.cond)(s)
+            return ("delay", stmt.then if holds else stmt.orelse, k, s)
         elif t is While:
-            if bexp(stmt.cond, s):
+            if compile_bexp(stmt.cond)(s):
                 return ("delay", stmt.body, (stmt, k), s)
             return ("delay", SKIP, k, s)
         elif t is Input:
-            x = stmt.var
-            return ("in", SKIP, k, lambda v: s.upd(x, v))
+            return ("in", stmt.var, SKIP, k, s)
         elif t is Output:
-            return ("out", aexp(stmt.expr, s), SKIP, k, s)
+            return ("out", compile_aexp(stmt.expr)(s), SKIP, k, s)
         else:
             raise TypeError(f"not a statement: {stmt!r}")
 
@@ -418,31 +427,34 @@ def red_res(stmt: Stmt, s: State) -> Lconf:
     if tag == "out":
         return LOut(c[1], _plug(c[2], c[3]), c[4])
     if tag == "in":
-        return LIn(_plug(c[1], c[2]), c[3])
+        return LIn(_plug(c[2], c[3]), partial(c[4].upd, c[1]))
     return LRet(c[1])
 
 
 def norm_res(stmt: Stmt, s: State) -> Res:
     """Small-step resumption semantics: repeatedly apply the reducer."""
-    return _norm(stmt, None, s)
+    return Res(_resume, (stmt, None, s))
 
 
-def _norm(stmt: Stmt, k: Context, s: State) -> Res:
-    """The run from the configuration (stmt, k, s)."""
+def _resume(c: tuple) -> tuple:
+    """The observation of the configuration (stmt, k, s) that ends c: a
+    configuration, or the _red result of the step before."""
+    s = c[-1]
+    c = _red(c[-3], c[-2], s)
+    tag = c[0]
+    if tag == "delay":
+        return ("delay", Res(_resume, c), s)
+    if tag == "out":
+        return ("out", c[1], Res(_resume, c))
+    if tag == "in":
+        return ("in", partial(_read, c))
+    return c
 
-    def force():
-        c = _red(stmt, k, s)
-        tag = c[0]
-        if tag == "delay":
-            return ("delay", _norm(c[1], c[2], c[3]), s)
-        if tag == "out":
-            return ("out", c[1], _norm(c[2], c[3], c[4]))
-        if tag == "in":
-            stmt1, k1, f = c[1], c[2], c[3]
-            return ("in", lambda v: _norm(stmt1, k1, f(v)))
-        return c
 
-    return Res(force)
+def _read(c: tuple, v: Val) -> Res:
+    """The run after the input step c reads v."""
+    _, x, stmt, k, s = c
+    return Res(_resume, (stmt, k, s.upd(x, v)))
 
 
 # ---------------------------------------------------------------------------

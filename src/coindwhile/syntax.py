@@ -98,7 +98,12 @@ class Node(Record):
 
     ``_pure`` says that no ``input`` or ``output`` occurs in the node. Like
     the hash it is set at construction, from the children's flags, by the
-    compound statements; every other node has it as a class attribute."""
+    compound statements; every other node has it as a class attribute.
+
+    An expression node caches its closure, once compiled, in a slot named
+    for its sort (``_arith`` or ``_bool``), so that a node of one sort is
+    refused in a place of the other; equality, hash, repr and pickling
+    ignore that slot."""
 
     __slots__ = ("_hash",)
     _pure = True
@@ -124,7 +129,8 @@ class _Binary(Node):
 
 
 class NumLit(Node):
-    __slots__ = __match_args__ = ("value",)
+    __match_args__ = ("value",)
+    __slots__ = __match_args__ + ("_arith",)
 
     def __init__(self, value: Val):
         self.value = value
@@ -132,7 +138,8 @@ class NumLit(Node):
 
 
 class VarRef(Node):
-    __slots__ = __match_args__ = ("var",)
+    __match_args__ = ("var",)
+    __slots__ = __match_args__ + ("_arith",)
 
     def __init__(self, var: Var):
         self.var = _index(var)
@@ -140,15 +147,15 @@ class VarRef(Node):
 
 
 class Add(_Binary):
-    __slots__ = ()
+    __slots__ = ("_arith",)
 
 
 class Sub(_Binary):
-    __slots__ = ()
+    __slots__ = ("_arith",)
 
 
 class Mul(_Binary):
-    __slots__ = ()
+    __slots__ = ("_arith",)
 
 
 AExp = NumLit | VarRef | Add | Sub | Mul
@@ -159,23 +166,24 @@ AExp = NumLit | VarRef | Add | Sub | Mul
 
 
 class TrueLit(Node):
-    __slots__ = ()
+    __slots__ = ("_bool",)
 
 
 class FalseLit(Node):
-    __slots__ = ()
+    __slots__ = ("_bool",)
 
 
 class Eq(_Binary):
-    __slots__ = ()
+    __slots__ = ("_bool",)
 
 
 class Le(_Binary):
-    __slots__ = ()
+    __slots__ = ("_bool",)
 
 
 class Not(Node):
-    __slots__ = __match_args__ = ("operand",)
+    __match_args__ = ("operand",)
+    __slots__ = __match_args__ + ("_bool",)
 
     def __init__(self, operand: "BExp"):
         self.operand = operand
@@ -183,11 +191,11 @@ class Not(Node):
 
 
 class And(_Binary):
-    __slots__ = ()
+    __slots__ = ("_bool",)
 
 
 class Or(_Binary):
-    __slots__ = ()
+    __slots__ = ("_bool",)
 
 
 BExp = TrueLit | FalseLit | Eq | Le | Not | And | Or
@@ -415,54 +423,65 @@ def bexp(b: BExp, s: State) -> bool:
 # ---------------------------------------------------------------------------
 # compilation to closures
 #
-# Each expression is compiled once into a closure State -> value, so that
-# evaluating it does no dispatch on syntax; the results equal aexp/bexp.
+# Each expression node is compiled once into a closure State -> value, kept
+# on the node, so that evaluating it does no dispatch on syntax; the results
+# equal aexp/bexp. Both interpreters evaluate through these closures.
 
 
 def compile_aexp(a: AExp) -> Callable[[State], Val]:
+    try:
+        return a._arith
+    except AttributeError:  # not compiled yet, or not an arithmetic node
+        pass
     t = type(a)
     if t is VarRef:
         x = a.var
 
-        def var(s):
+        def f(s):
             vals = s._vals
             return vals[x] if x < len(vals) else 0
 
-        return var
-    if t is NumLit:
+    elif t is NumLit:
         v = wrap(a.value)
-        return lambda s: v
-    if t is Add or t is Sub or t is Mul:
+        f = lambda s: v
+    elif t is Add or t is Sub or t is Mul:
         l, r = compile_aexp(a.left), compile_aexp(a.right)
         if t is Add:
-            return lambda s: (l(s) + r(s) + _HALF) % _MOD - _HALF
-        if t is Sub:
-            return lambda s: (l(s) - r(s) + _HALF) % _MOD - _HALF
-        return lambda s: (l(s) * r(s) + _HALF) % _MOD - _HALF
-    raise TypeError(f"not an arithmetic expression: {a!r}")
+            f = lambda s: (l(s) + r(s) + _HALF) % _MOD - _HALF
+        elif t is Sub:
+            f = lambda s: (l(s) - r(s) + _HALF) % _MOD - _HALF
+        else:
+            f = lambda s: (l(s) * r(s) + _HALF) % _MOD - _HALF
+    else:
+        raise TypeError(f"not an arithmetic expression: {a!r}")
+    a._arith = f
+    return f
 
 
 def compile_bexp(b: BExp) -> Callable[[State], bool]:
+    try:
+        return b._bool
+    except AttributeError:  # not compiled yet, or not a boolean node
+        pass
     t = type(b)
     if t is TrueLit:
-        return lambda s: True
-    if t is FalseLit:
-        return lambda s: False
-    if t is Eq or t is Le:
+        f = lambda s: True
+    elif t is FalseLit:
+        f = lambda s: False
+    elif t is Eq or t is Le:
         l, r = compile_aexp(b.left), compile_aexp(b.right)
-        if t is Eq:
-            return lambda s: l(s) == r(s)
-        return lambda s: l(s) <= r(s)
-    if t is Not:
-        n, b = strip_nots(b)
-        x = compile_bexp(b)
-        return x if n % 2 == 0 else lambda s: not x(s)
-    if t is And or t is Or:
+        f = (lambda s: l(s) == r(s)) if t is Eq else (lambda s: l(s) <= r(s))
+    elif t is Not:
+        n, x = strip_nots(b)
+        x = compile_bexp(x)
+        f = x if n % 2 == 0 else lambda s: not x(s)
+    elif t is And or t is Or:
         l, r = compile_bexp(b.left), compile_bexp(b.right)
-        if t is And:
-            return lambda s: l(s) and r(s)
-        return lambda s: l(s) or r(s)
-    raise TypeError(f"not a boolean expression: {b!r}")
+        f = (lambda s: l(s) and r(s)) if t is And else (lambda s: l(s) or r(s))
+    else:
+        raise TypeError(f"not a boolean expression: {b!r}")
+    b._bool = f
+    return f
 
 
 # ---------------------------------------------------------------------------

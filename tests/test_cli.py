@@ -16,8 +16,8 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from coindwhile import resumption, trace
-from coindwhile.cli import _Render, main
+from coindwhile import checks, resumption, trace
+from coindwhile.cli import _Render, _render_path, main
 from coindwhile.parse import NameTable, parse, pretty
 from coindwhile.syntax import State, is_pure
 
@@ -428,6 +428,22 @@ class TestDeepInput:
             0, ["equivalent up to bounds"])
         assert run_cli(capsys, "responsive", EMIT, "--depth-budget", "5000") == (
             0, ["responsive up to bounds"])
+
+    @pytest.mark.parametrize("argv", [("bisim", EMIT, EMIT), ("responsive", EMIT)])
+    def test_a_long_path_prints_as_one_short_line(self, capsys, argv):
+        # the path is NODE_BUDGET steps long: its first and last 8 steps are
+        # printed around the number of the others
+        status, lines = run_cli(capsys, *argv, "--depth-budget", "200000")
+        cut = f"... ({checks.NODE_BUDGET - 16} more) ..."
+        assert (status, lines) == (5, ["budget exhausted (nodes): " + " ; ".join(
+            ["out 5"] * 8 + [cut] + ["out 5"] * 8)])
+        assert len(lines[0].encode()) < 1000
+
+    def test_a_path_is_cut_above_16_steps(self):
+        _, names = parse("skip")
+        assert _render_path((("out", 5),) * 16, names) == " ; ".join(["out 5"] * 16)
+        assert _render_path((("out", 5),) * 17, names) == " ; ".join(
+            ["out 5"] * 8 + ["... (1 more) ..."] + ["out 5"] * 8)
 
     @pytest.mark.parametrize("nots, status, last", [(3000, 2, "truncated"), (3001, 0, "ended")])
     def test_long_not_chain_parses_and_runs(self, capsys, tmp_path, nots, status, last):

@@ -1,6 +1,6 @@
 """The work per observation is bounded by the syntax of one statement.
 
-Big-step runs CPS code compiled on first entry and small-step keeps its
+Big-step runs code compiled on first entry and small-step keeps its
 evaluation context as a stack, so in all four interpreters the Python calls
 per observation grow neither with the loop nest nor with the depth of the
 Seqs around the running statement, and neither a deep Seq spine nor a deep
@@ -187,6 +187,20 @@ class TestCompileOnFirstEntry:
         r = eval_res(Seq(Skip(), Assign(0, TT)), EMPTY)
         with pytest.raises(TypeError, match="not an arithmetic expression"):
             r.step()
+
+    @pytest.mark.parametrize("interp", [eval_res, norm_res])
+    def test_a_node_compiled_in_one_sort_is_refused_in_the_other(self, interp):
+        # the loop guard compiles TT, and so caches a closure on it, before
+        # the body reaches TT as a number; that closure must not be reused
+        r = interp(While(TT, Assign(0, TT)), EMPTY)
+        assert r.step()[0] == "delay"
+        with pytest.raises(TypeError, match="not an arithmetic expression"):
+            r.step()[1].step()
+        one = NumLit(1)
+        r = interp(Seq(Assign(0, one), While(one, Skip())), EMPTY)
+        assert r.step()[0] == "delay"
+        with pytest.raises(TypeError, match="not a boolean expression"):
+            r.step()[1].step()
 
 
 def calls_per_observation(observe, n=2000):

@@ -1,7 +1,10 @@
 """Resumption semantics: the interpreters for While with I/O, the stock
 resumptions, and the scripted event driver."""
 
+import gc
 import random
+
+import pytest
 
 from coindwhile.parse import parse
 from coindwhile.resumption import (
@@ -229,6 +232,28 @@ class TestStockResumptions:
     def test_echo_div_diverges_on_nonzero(self):
         log = run_events(echo_div(), [1], 6)
         assert log == [("in", 1)] + [("delay",)] * 5 + [("truncated",)]
+
+
+INC_ECHO = "while tt do input x ; x := x + 1 ; output x od"
+
+
+class TestMemoCell:
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: eval_res(ast(INC_ECHO), EMPTY), id="eval_res"),
+        pytest.param(lambda: norm_res(ast(INC_ECHO), EMPTY), id="norm_res"),
+        pytest.param(lambda: echo(EMPTY), id="echo"),
+        pytest.param(lambda: rep(4), id="rep"),
+    ])
+    def test_a_forced_cell_keeps_only_its_observation(self, make):
+        # a cell drops the function and argument it was forced with, so a
+        # held run costs no more than its observations
+        r = make()
+        for _ in range(12):
+            obs = r.step()
+            held = [x for x in gc.get_referents(r) if x is not None and x is not Res]
+            assert held == [obs]
+            tag = obs[0]
+            r = obs[1](0) if tag == "in" else obs[2] if tag == "out" else obs[1]
 
 
 class TestDriver:

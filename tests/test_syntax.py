@@ -223,7 +223,7 @@ class TestBexp:
 
 class TestCompiledExpressions:
     def test_agree_with_aexp_bexp(self):
-        # big-step runs the compiled closures, small-step aexp/bexp
+        # both interpreters run the compiled closures; aexp/bexp are the reference
         rng = random.Random(4)
         edge = (2**63 - 1, -(2**63), 2**62, -1)
         for _ in range(300):
