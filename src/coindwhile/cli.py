@@ -220,23 +220,29 @@ def _run_summary(stmt, names, init, args) -> int:
         steps = 0
         for s in trace.walk(trace.Trace(_res_for(stmt, init, args.mode)), args.fuel):
             steps += s is not None
-        if s is None:
-            print(f"status=truncated steps={steps}")
-            return EXIT_TRUNCATED
-        print(f"status=ended steps={steps} state={_Render(names).state(s)}")
-        return EXIT_OK
+        status = "truncated" if s is None else "ended"
+        _print_summary({"status": status, "steps": steps}, s, names, args.json)
+        return EXIT_TRUNCATED if s is None else EXIT_OK
     counts = {"in": 0, "out": 0, "delay": 0}
     for last in resumption.drive(_res_for(stmt, init, args.mode),
                                  _input_source(args), args.fuel):
         if last[0] in counts:
             counts[last[0]] += 1
-    status = {"ret": "ret"}.get(last[0], last[0])
-    line = (f"status={status} in={counts['in']} out={counts['out']}"
-            f" delay={counts['delay']}")
-    if last[0] == "ret":
-        line += f" state={_Render(names).state(last[1])}"
-    print(line)
+    s = last[1] if last[0] == "ret" else None
+    _print_summary({"status": last[0], **counts}, s, names, args.json)
     return _EVENT_EXIT.get(last[0], EXIT_OK)
+
+
+def _print_summary(fields: dict, s, names: NameTable, as_json: bool) -> None:
+    """Print the fields, then the final state s unless it is None, on one
+    line: as name=value pairs, or as one JSON object."""
+    if s is not None:
+        fields["state"] = _Render(names, as_json).state(s, "{%s}")
+    if as_json:
+        fields["status"] = f'"{fields["status"]}"'  # a tag: no character to escape
+        print("{%s}" % ", ".join(f'"{k}": {v}' for k, v in fields.items()))
+    else:
+        print(" ".join(f"{k}={v}" for k, v in fields.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +295,24 @@ def _render_path(path, names: NameTable) -> str:
     return " ; ".join([*map(render, path[:8]), cut, *map(render, path[-8:])])
 
 
+def _report(verdict, names: NameTable, positive: str, negative: str) -> int:
+    """Print a checker's verdict on one line and return its exit status:
+    positive is the line of a verdict up to bounds and negative the label of
+    a refutation. A refutation or a spent budget prints its path."""
+    from . import checks
+
+    match verdict:
+        case checks.EquivalentUpToBounds() | checks.ResponsiveUpToBounds():
+            print(positive)
+            return EXIT_OK
+        case checks.Distinguished(path) | checks.LatencyExceeded(path):
+            label, status = negative, EXIT_DISTINGUISHED
+        case checks.BudgetExhausted(budget, path):
+            label, status = f"budget exhausted ({budget})", EXIT_BUDGET
+    print(f"{label}: {_render_path(path, names)}")
+    return status
+
+
 def _cmd_bisim(args) -> int:
     from . import checks
 
@@ -302,15 +326,8 @@ def _cmd_bisim(args) -> int:
     )
     r0 = resumption.eval_res(stmt_a, State.empty())
     r1 = resumption.eval_res(stmt_b, State.empty())
-    verdict = checks.delay_bisim(r0, r1, cfg)
-    if isinstance(verdict, checks.EquivalentUpToBounds):
-        print("equivalent up to bounds")
-        return EXIT_OK
-    if isinstance(verdict, checks.Distinguished):
-        print(f"distinguished: {_render_path(verdict.witness, names)}")
-        return EXIT_DISTINGUISHED
-    print(f"budget exhausted ({verdict.budget}): {_render_path(verdict.path, names)}")
-    return EXIT_BUDGET
+    return _report(checks.delay_bisim(r0, r1, cfg), names,
+                   "equivalent up to bounds", "distinguished")
 
 
 def _cmd_responsive(args) -> int:
@@ -323,14 +340,7 @@ def _cmd_responsive(args) -> int:
         depth_budget=args.depth_budget,
         input_sample=args.sample,
     )
-    if isinstance(verdict, checks.ResponsiveUpToBounds):
-        print("responsive up to bounds")
-        return EXIT_OK
-    if isinstance(verdict, checks.LatencyExceeded):
-        print(f"latency exceeded: {_render_path(verdict.path, names)}")
-        return EXIT_DISTINGUISHED
-    print(f"budget exhausted ({verdict.budget}): {_render_path(verdict.path, names)}")
-    return EXIT_BUDGET
+    return _report(verdict, names, "responsive up to bounds", "latency exceeded")
 
 
 def _cmd_parse(args) -> int:

@@ -27,9 +27,9 @@ small-step interpreter ``norm_res`` runs configurations
 ``(stmt, context, state)``. The context is the stack of ``Seq`` second
 components still to run, and it is kept from one step to the next
 (refocusing, Danvy & Nielsen 2004), so a step costs the same however deeply
-the running statement sits inside nested sequences. A cell holds ``_resume``
-and the tuple of the step before. ``red_res`` plugs the context back into a
-statement. Both evaluate expressions through the closures that
+the running statement sits inside nested ``Seq`` nodes. A cell holds
+``_resume`` and the tuple of the step before. ``red_res`` plugs the context
+back into a statement. Both evaluate expressions through the closures that
 ``syntax.compile_aexp``/``compile_bexp`` cache on the expression nodes.
 """
 
@@ -153,7 +153,7 @@ def echo_div() -> Res:
 
 
 # A context is None or (second, context): the Seq second components still to
-# run, innermost first. Both interpreters walk sequences with it. It is a
+# run, innermost first. Both interpreters walk Seq nodes with it. It is a
 # persistent linked stack, so configurations (stmt, context, state) share
 # their tails and one small step allocates no Seq. In _compile a context ends
 # in compiled code instead of None: the code that runs after its statements.
@@ -166,11 +166,13 @@ def eval_res(stmt: Stmt, s: State) -> Res:
     Same delay placement as the pure trace semantics: skip is silent,
     assignment and guard tests each delay once; input/output statements
     perform their action and terminate. Runs the code that ``_compile``
-    makes, in which each statement calls the code of the one after it; this
-    is the denotation of seque_res and loop_res below, unfolded by
-    associativity of sequencing. Each statement is compiled on first entry,
-    so a run pays only for the statements it reaches, and a malformed node
-    raises ``TypeError`` when the run reaches it, not before.
+    makes, in which each statement calls the code of the one after it. This
+    is the denotation of the paper's combinators for ``;`` and ``while``,
+    unfolded by associativity of ``;``. ``tests/paper.py`` keeps those
+    combinators as the reference that this interpreter is tested against.
+    Each statement is compiled on first entry, so a run pays only for the
+    statements it reaches, and a malformed node raises ``TypeError`` when
+    the run reaches it, not before.
     """
     return Res(lambda s: _compile(stmt, (_ret, None))(s), s)
 
@@ -273,62 +275,6 @@ def _compile(stmt: Stmt, ctx: Context) -> Code:
         e = compile_aexp(stmt.expr)
         return lambda s: ("out", e(s), Res(rest, s))
     raise TypeError(f"not a statement: {stmt!r}")
-
-
-def seque_res(k: Callable[[State], Res], r: Res) -> Res:
-    """Continue with k from the final state of r, if r ever returns."""
-
-    def force():
-        obs = r.step()
-        tag = obs[0]
-        if tag == "ret":
-            return k(obs[1])
-        if tag == "in":
-            f = obs[1]
-            return Res.inp(lambda v: seque_res(k, f(v)))
-        if tag == "out":
-            return Res.out(obs[1], seque_res(k, obs[2]))
-        return Res.delay(seque_res(k, obs[1]), obs[2])
-
-    return Res.suspend(force)
-
-
-def loop_res(k: Callable[[State], Res], p: Callable[[State], bool], s: State) -> Res:
-    """Repeat the body k while the guard p holds, starting from state s."""
-    if not p(s):
-        return Res.ret(s)
-    obs = k(s).step()
-    tag = obs[0]
-    if tag == "ret":
-        s1 = obs[1]
-        return Res.delay(Res.suspend(lambda: loop_res(k, p, s1)), s1)
-    if tag == "in":
-        f = obs[1]
-        return Res.inp(lambda v: loopseq_res(k, p, f(v)))
-    if tag == "out":
-        rest = obs[2]
-        return Res.out(obs[1], Res.suspend(lambda: loopseq_res(k, p, rest)))
-    rest = obs[1]
-    return Res.delay(Res.suspend(lambda: loopseq_res(k, p, rest)), obs[2])
-
-
-def loopseq_res(k: Callable[[State], Res], p: Callable[[State], bool], r: Res) -> Res:
-    """Flush the current body resumption r, then hand back to loop_res."""
-
-    def force():
-        obs = r.step()
-        tag = obs[0]
-        if tag == "ret":
-            s = obs[1]
-            return Res.delay(Res.suspend(lambda: loop_res(k, p, s)), s)
-        if tag == "in":
-            f = obs[1]
-            return Res.inp(lambda v: loopseq_res(k, p, f(v)))
-        if tag == "out":
-            return Res.out(obs[1], loopseq_res(k, p, obs[2]))
-        return Res.delay(loopseq_res(k, p, obs[1]), obs[2])
-
-    return Res.suspend(force)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Coinductive traces and the two trace-producing interpreters for pure While.
 
-A trace is a possibly infinite, nonempty sequence of states. It is observed
+A trace is a possibly infinite, nonempty stream of states. It is observed
 one step at a time: ``step()`` returns ``(state, tail)`` where ``tail`` is
 ``None`` when the trace ends here, or the rest of the trace otherwise. Tails
 are produced on demand, so infinite traces are fine; each observation does
@@ -8,17 +8,16 @@ work bounded by the size of the statement, never by the length of the trace.
 
 A trace is a resumption that never does input or output, so ``Trace`` is a
 view over a ``Res``: a delay observation ``("delay", rest, s)`` reads as
-``(s, Trace(rest))`` and ``("ret", s)`` as ``(s, None)``. The memo cell, the
-interpreters and the combinators are those of ``resumption.py``; this
-module only checks that a program is pure and changes the point of view.
+``(s, Trace(rest))`` and ``("ret", s)`` as ``(s, None)``. The memo cell and
+the interpreters are those of ``resumption.py``; this module only checks
+that a program is pure and changes the point of view.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 
 from .resumption import Res, _plug, _red, eval_res, norm_res
-from .resumption import loop_res, loopseq_res, seque_res
 from .syntax import Record, State, Stmt, is_pure
 
 
@@ -43,14 +42,6 @@ class Trace:
             return (obs[2], Trace(obs[1]))
         return (obs[1], None)
 
-    @staticmethod
-    def nil(s: State) -> "Trace":
-        return Trace(Res.ret(s))
-
-    @staticmethod
-    def delay(s: State, tail: "Trace") -> "Trace":
-        return Trace(Res.delay(tail._res, s))
-
 
 class TracePrefix(Record):
     """A finite observation of a trace: the states seen, and whether the
@@ -61,10 +52,6 @@ class TracePrefix(Record):
     def __init__(self, states: tuple, ended: bool):
         self.states = states
         self.ended = ended
-
-    @property
-    def status(self) -> str:
-        return "ended" if self.ended else "truncated"
 
 
 def walk(t: Trace, fuel: int) -> Iterator[State | None]:
@@ -133,18 +120,3 @@ def red(stmt: Stmt, s: State) -> tuple[Stmt, State] | None:
     if c[0] == "ret":
         return None
     raise ImpureProgramError(f"input/output statement in pure context: {stmt!r}")
-
-
-def seque(k: Callable[[State], Trace], t: Trace) -> Trace:
-    """Continue with k from the last state of t, if t ever ends."""
-    return Trace(seque_res(lambda s: k(s)._res, t._res))
-
-
-def loop(k: Callable[[State], Trace], p: Callable[[State], bool], s: State) -> Trace:
-    """Repeat the body k while the guard p holds, starting from state s."""
-    return Trace(loop_res(lambda s1: k(s1)._res, p, s))
-
-
-def loopseq(k: Callable[[State], Trace], p: Callable[[State], bool], t: Trace) -> Trace:
-    """Flush the current body trace t, then hand back to loop."""
-    return Trace(loopseq_res(lambda s: k(s)._res, p, t._res))

@@ -94,6 +94,20 @@ class TestRun:
         assert status == 0
         assert lines == ["status=ret in=2 out=1 delay=2 state={x=5}"]
 
+    @pytest.mark.parametrize("argv, line", [
+        ((COUNTER,), '{"status": "ended", "steps": 9, "state": {}}'),
+        ((ECHO, "--script", "0,5"),
+         '{"status": "ret", "in": 2, "out": 1, "delay": 2, "state": {"x": 5}}'),
+        ((EMIT, "--fuel", "4"),
+         '{"status": "truncated", "in": 0, "out": 2, "delay": 2}'),
+    ], ids=["pure", "io", "truncated"])
+    def test_summary_json(self, capsys, argv, line):
+        # one JSON object with the fields of the text line, in its order
+        status, lines = run_cli(capsys, "run", *argv, "--emit", "summary", "--json")
+        assert (status, lines) == (2 if "truncated" in line else 0, [line])
+        _, text = run_cli(capsys, "run", *argv, "--emit", "summary")
+        assert list(json.loads(line)) == [f.split("=")[0] for f in text[0].split(" ")]
+
     @pytest.mark.parametrize("src", ["while tt do x := x + 1 od",
                                      "while tt do output 1 od"])
     def test_summary_memory_is_flat_in_fuel(self, capsys, tmp_path, src):

@@ -17,14 +17,11 @@ from coindwhile.resumption import (
     echo,
     echo_div,
     eval_res,
-    loop_res,
-    loopseq_res,
     norm_res,
     red_res,
     rep,
     rep_fast,
     run_events,
-    seque_res,
 )
 from coindwhile.syntax import (
     Input,
@@ -37,9 +34,10 @@ from coindwhile.syntax import (
     While,
     is_pure,
 )
-from coindwhile.trace import eval_trace, take
+from coindwhile.trace import Trace, eval_trace, norm, take
 
 from gen import gen_script, gen_state, gen_stmt, gen_while_stmt
+from paper import denote, loop_res, loopseq_res, seque_res
 
 EMPTY = State.empty()
 
@@ -158,6 +156,28 @@ class TestSequeLoop:
         assert run_events(eval_res(prog, EMPTY), [], 9) == run_events(
             rep_fast(1), [], 9
         )
+
+
+class TestPaperOracle:
+    def test_both_interpreters_agree_with_the_combinators(self):
+        # denote is the paper's big-step semantics, built from seque_res and
+        # loop_res, and it evaluates expressions with aexp/bexp; eval_res and
+        # norm_res share the expression compiler, so this test, not their
+        # comparison with each other, checks it under both. 400 programs,
+        # 60% of them generated with I/O allowed, at fuel 200.
+        rng = random.Random(2011)
+        for i in range(400):
+            stmt = gen_stmt(rng, 6, io=i % 5 < 3)
+            s = gen_state(rng)
+            script = gen_script(rng)
+            want = observe_with_states(denote(stmt, s), script, 200)
+            for interp in (eval_res, norm_res):
+                got = observe_with_states(interp(stmt, s), script, 200)
+                assert got == want, (interp.__name__, stmt, s, script)
+            if is_pure(stmt):
+                want = take(Trace(denote(stmt, s)), 200)
+                for interp in (eval_trace, norm):
+                    assert take(interp(stmt, s), 200) == want, (interp.__name__, stmt, s)
 
 
 class TestSmallStep:

@@ -20,18 +20,15 @@ from coindwhile.syntax import (
 )
 from coindwhile.trace import (
     ImpureProgramError,
-    Trace,
     TracePrefix,
     eval_trace,
-    loop,
-    loopseq,
     norm,
     red,
-    seque,
     take,
 )
 
 from gen import gen_state, gen_stmt, gen_while_stmt
+from paper import delay, loop, loopseq, nil, seque
 
 EMPTY = State.empty()
 
@@ -43,7 +40,7 @@ def ast(src):
 
 class TestTake:
     def test_nil_at_zero_fuel_still_yields_the_state(self):
-        assert take(Trace.nil(EMPTY), 0) == TracePrefix((EMPTY,), True)
+        assert take(nil(EMPTY), 0) == TracePrefix((EMPTY,), True)
 
     def test_truncates_infinite_trace(self):
         pre = take(eval_trace(While(TrueLit(), Skip()), EMPTY), 2)
@@ -79,7 +76,7 @@ class TestTake:
 
     def test_fuel_counts_delays_not_states(self):
         s1 = EMPTY.upd(0, 17)
-        t = Trace.delay(EMPTY, Trace.nil(s1))
+        t = delay(EMPTY, nil(s1))
         assert take(t, 1) == TracePrefix((EMPTY, s1), True)
 
 
@@ -119,12 +116,12 @@ class TestEvalGoldens:
 
 class TestSeque:
     def test_continues_from_final_state(self):
-        k = lambda s: Trace.nil(s.upd(0, 1))
-        assert take(seque(k, Trace.nil(EMPTY)), 8).states[-1] == EMPTY.upd(0, 1)
+        k = lambda s: nil(s.upd(0, 1))
+        assert take(seque(k, nil(EMPTY)), 8).states[-1] == EMPTY.upd(0, 1)
 
     def test_infinite_trace_passes_through(self):
         marker = EMPTY.upd(1, 99)
-        k = lambda s: Trace.nil(marker)  # must never be reached
+        k = lambda s: nil(marker)  # must never be reached
         t = seque(k, eval_trace(While(TrueLit(), Skip()), EMPTY))
         for fuel in (1, 5, 20):
             pre = take(t, fuel)
@@ -136,22 +133,22 @@ class TestSeque:
             stmt, s = gen_stmt(rng, 4), gen_state(rng)
             t = eval_trace(stmt, s)
             for fuel in (0, 3, 16):
-                assert take(seque(Trace.nil, eval_trace(stmt, s)), fuel) == take(
+                assert take(seque(nil, eval_trace(stmt, s)), fuel) == take(
                     t, fuel
                 )
 
 
 class TestLoop:
     def test_false_guard_terminates_immediately(self):
-        t = loop(Trace.nil, lambda s: False, EMPTY)
+        t = loop(nil, lambda s: False, EMPTY)
         assert t.step() == (EMPTY, None)
 
     def test_silent_body_still_progresses(self):
-        t = loop(Trace.nil, lambda s: True, EMPTY)
+        t = loop(nil, lambda s: True, EMPTY)
         assert take(t, 5) == TracePrefix((EMPTY,) * 5, False)
 
     def test_loopseq_flushes_then_loops(self):
-        t = loopseq(Trace.nil, lambda s: False, Trace.nil(EMPTY))
+        t = loopseq(nil, lambda s: False, nil(EMPTY))
         s, tail = t.step()
         assert s == EMPTY
         assert tail.step() == (EMPTY, None)
