@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from .resumption import Res
+from .resumption import Res, _memo, _raw
 from .syntax import Record
 from .trace import Trace
 
@@ -101,16 +101,23 @@ class StripResult(Record):
 
 
 def strip_delays(r: Res, budget: int) -> StripResult:
-    """Peel up to budget leading delays and report what is underneath."""
+    """Peel up to budget leading delays and report what is underneath.
+
+    The delays are stepped raw (see ``resumption._raw``) and none is
+    memoized, so memory stays flat however long the stretch. "still" hands
+    back the cell at the budget already forced: no observation is computed
+    twice.
+    """
+    fn, arg = _raw, r
     n = 0
     while True:
-        obs = r.step()
+        obs = fn(arg)
         if obs[0] != "delay":
-            return StripResult(n, obs)
+            return StripResult(n, _memo(obs))
         if n >= budget:
-            return StripResult(n, ("still", r))
+            return StripResult(n, ("still", Res._of(_memo(obs))))
         n += 1
-        r = obs[1]
+        fn, arg = obs[1], obs[2]
 
 
 # ---------------------------------------------------------------------------
@@ -268,18 +275,17 @@ def trace_eq(t0: Trace, t1: Trace, fuel: int) -> Verdict:
     """
 
     def describe(obs):
-        return ("delay", obs[2]) if obs[0] == "delay" else ("nil", obs[1])
+        return ("delay", obs[3]) if obs[0] == "delay" else ("nil", obs[1])
 
-    # step the underlying resumptions, as trace.walk does; a held head
-    # would keep every memoized step alive
-    r0, r1 = t0._res, t1._res
+    # step raw observations, as trace.walk does: nothing is memoized
+    f0, a0, f1, a1 = _raw, t0._res, _raw, t1._res
     del t0, t1
     for i in range(fuel + 1):
-        o0 = r0.step()
-        o1 = r1.step()
+        o0 = f0(a0)
+        o1 = f1(a1)
         if o0[0] == "delay":
-            if o1[0] == "delay" and o0[2] == o1[2]:
-                r0, r1 = o0[1], o1[1]
+            if o1[0] == "delay" and o0[3] == o1[3]:
+                f0, a0, f1, a1 = o0[1], o0[2], o1[1], o1[2]
                 continue
         elif o1[0] != "delay" and o0[1] == o1[1]:
             return EquivalentUpToBounds()

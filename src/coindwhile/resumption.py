@@ -17,17 +17,23 @@ no state and record None. A trace is a resumption that never does input or
 output: ``trace.Trace`` reads ``("delay", rest, s)`` as ``(s, rest)`` and
 ``("ret", s)`` as ``(s, None)``.
 
-Each observation is one memo cell ``Res(fn, arg)``, forced once as
-``fn(arg)``; it then drops both, keeping only the observation. The big-step
-interpreter ``eval_res`` runs code made by ``_compile`` when a statement is
-first entered, so a run compiles only what it reaches; each statement calls
-the code of the one after it directly, and a cell holds that code or a
-function made at compile time, with the state as its argument. The
-small-step interpreter ``norm_res`` runs configurations
+A resumption is a memo cell ``Res(fn, arg)``, and ``fn(arg)`` is its
+observation in raw form, each rest a function and its argument:
+``("out", value, fn, arg)`` and ``("delay", fn, arg, state)``. Only
+``step()`` memoizes: it puts the rest in a new cell. A run that looks at
+each observation once (``drive``, ``trace.walk``, ``checks.trace_eq`` and
+``checks.strip_delays``) calls the pairs itself and makes no cell;
+``_raw(r)`` gives any cell's observation in raw form, forced or not.
+
+The big-step interpreter ``eval_res`` runs code made by ``_compile`` when a
+statement is first entered, so a run compiles only what it reaches; each
+statement calls the code of the one after it directly, and a rest is that
+code or a function made at compile time, with the state as its argument.
+The small-step interpreter ``norm_res`` runs configurations
 ``(stmt, context, state)``. The context is the stack of ``Seq`` second
 components still to run, and it is kept from one step to the next
 (refocusing, Danvy & Nielsen 2004), so a step costs the same however deeply
-the running statement sits inside nested ``Seq`` nodes. A cell holds
+the running statement sits inside nested ``Seq`` nodes. A rest is
 ``_resume`` and the tuple of the step before. ``red_res`` plugs the context
 back into a statement. Both evaluate expressions through the closures that
 ``syntax.compile_aexp``/``compile_bexp`` cache on the expression nodes.
@@ -37,7 +43,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from functools import partial
-from types import FunctionType
 
 from .syntax import (
     SKIP,
@@ -61,7 +66,7 @@ class Res:
     """A suspended resumption; ``step()`` forces it once, as ``fn(arg)``,
     memoizes the observation and drops ``fn`` and ``arg``."""
 
-    __slots__ = ("_fn", "_arg", "_obs", "__weakref__")
+    __slots__ = ("_fn", "_arg", "_obs")
 
     def __init__(self, fn: Callable[[object], tuple], arg: object):
         self._fn = fn
@@ -71,7 +76,7 @@ class Res:
     def step(self) -> tuple:
         obs = self._obs
         if obs is None:
-            obs = self._obs = self._fn(self._arg)
+            obs = self._obs = _memo(self._fn(self._arg))
             self._fn = self._arg = None
         return obs
 
@@ -103,8 +108,35 @@ class Res:
         return Res(_first_of, make)
 
 
+def _raw(r: Res) -> tuple:
+    """The observation of r in raw form. It memoizes nothing: a cell not
+    yet forced is computed afresh, and a forced one hands back its rest as
+    the pair (_raw, cell)."""
+    obs = r._obs
+    if obs is None:
+        return r._fn(r._arg)
+    tag = obs[0]
+    if tag == "delay":
+        return ("delay", _raw, obs[1], obs[2])
+    if tag == "out":
+        return ("out", obs[1], _raw, obs[2])
+    return obs
+
+
+def _memo(obs: tuple) -> tuple:
+    """The raw observation obs as step() returns it: its rest in a cell."""
+    tag = obs[0]
+    if tag == "delay":
+        fn, arg = obs[1], obs[2]
+        return ("delay", arg if fn is _raw else Res(fn, arg), obs[3])
+    if tag == "out":
+        fn, arg = obs[2], obs[3]
+        return ("out", obs[1], arg if fn is _raw else Res(fn, arg))
+    return obs
+
+
 def _first_of(make: Callable[[], Res]) -> tuple:
-    return make().step()
+    return _raw(make())
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +188,7 @@ def echo_div() -> Res:
 # run, innermost first. Both interpreters walk Seq nodes with it. It is a
 # persistent linked stack, so configurations (stmt, context, state) share
 # their tails and one small step allocates no Seq. In _compile a context ends
-# in compiled code instead of None: the code that runs after its statements.
+# in a link instead of None: the code that runs after its statements.
 Context = tuple | None
 
 
@@ -174,21 +206,32 @@ def eval_res(stmt: Stmt, s: State) -> Res:
     statements it reaches, and a malformed node raises ``TypeError`` when
     the run reaches it, not before.
     """
-    return Res(lambda s: _compile(stmt, (_ret, None))(s), s)
+    return Res(lambda s: _compile(stmt, ([_ret, None], None))(s), s)
 
 
 def _ret(s: State) -> tuple:
     return ("ret", s)
 
 
-# Code: compiled statements. code(s) is the first observation of running
-# them from s and then the rest of the program.
+# Code: compiled statements. code(s) is the first observation, in raw form,
+# of running them from s and then the rest of the program.
 Code = Callable[[State], tuple]
+
+# A link is a list [code, conf]: the code that runs after some statements,
+# shared by all the code that can run before it. Until first called it is
+# [None, conf], and conf is the configuration (stmt, context) to compile.
+def _link(link: list) -> Code:
+    """The code of a link, compiled now if it has not been yet."""
+    code = link[0]
+    if code is None:
+        code = link[0] = _compile(*link[1])
+        link[1] = None
+    return code
 
 
 def _first(stmt: Stmt, ctx: Context) -> tuple:
     """The first statement of the configuration (stmt, ctx) that is neither
-    a Seq nor a Skip, or else the code that ctx ends in, with the context
+    a Seq nor a Skip, or else the link that ctx ends in, with the context
     after it."""
     while True:
         t = type(stmt)
@@ -202,8 +245,8 @@ def _first(stmt: Stmt, ctx: Context) -> tuple:
 
 
 def _delay(then: Code) -> Code:
-    """Code that takes one silent step from s, whose memo cell runs then(s)."""
-    return lambda s: ("delay", Res(then, s), s)
+    """Code that takes one silent step from s, whose rest is then(s)."""
+    return lambda s: ("delay", then, s, s)
 
 
 def _compile(stmt: Stmt, ctx: Context) -> Code:
@@ -214,25 +257,26 @@ def _compile(stmt: Stmt, ctx: Context) -> Code:
     branches of an if, a loop body) starts as a stub that compiles it when
     first called and rebinds the variable its parent reads, so later calls
     go straight to compiled code and nothing here recurses. Sequences are
-    walked on the context stack, as in _red; the branches of an if end in
-    the if's ``rest`` and a loop body in the loop's own guard test. So the
-    calls between two observations are bounded by the syntax of one
-    statement, not by the depth of the Seq tree or of the loop nest.
+    walked on the context stack, as in _red. A context ends in a link to
+    the code after it: the branches of an if share the if's, and a loop
+    body's is the loop's own guard test. Every stub that reads a link
+    rebinds to the link's code, whichever ran first. So the calls between
+    two observations are bounded by the syntax of one statement, not by the
+    depth of the Seq tree or of the loop nest.
     """
     stmt, ctx = _first(stmt, ctx)
-    if type(stmt) is FunctionType:
-        return stmt
+    if type(stmt) is list:
+        return _link(stmt)
     after = _first(*ctx)
-    if type(after[0]) is FunctionType:
-        rest = after[0]
-    else:
+    link = after[0] if type(after[0]) is list else [None, after]
+    rest = link[0]
+    if rest is None:
 
         def rest(s):
-            # memo cells and branches hold this stub too: once it has
-            # compiled, a call through it only forwards
-            nonlocal rest, after
-            if after:
-                rest, after = _compile(*after), None
+            # observations made before its first call hold this stub; a
+            # call through it after that only forwards
+            nonlocal rest
+            rest = _link(link)
             return rest(s)
 
     t = type(stmt)
@@ -244,12 +288,12 @@ def _compile(stmt: Stmt, ctx: Context) -> Code:
 
         def a(s):
             nonlocal a
-            a = _compile(then, (rest, None))
+            a = _compile(then, (link, None))
             return a(s)
 
         def b(s):
             nonlocal b
-            b = _compile(orelse, (rest, None))
+            b = _compile(orelse, (link, None))
             return b(s)
 
         return _delay(lambda s: a(s) if c(s) else b(s))
@@ -258,7 +302,7 @@ def _compile(stmt: Stmt, ctx: Context) -> Code:
 
         def body(s):
             nonlocal body
-            body = _compile(inner, (test, None))
+            body = _compile(inner, ([test, None], None))
             return body(s)
 
         test = _delay(lambda s: body(s) if c(s) else rest(s))
@@ -273,7 +317,7 @@ def _compile(stmt: Stmt, ctx: Context) -> Code:
         return lambda s: ("in", partial(read, s))
     if t is Output:
         e = compile_aexp(stmt.expr)
-        return lambda s: ("out", e(s), Res(rest, s))
+        return lambda s: ("out", e(s), rest, s)
     raise TypeError(f"not a statement: {stmt!r}")
 
 
@@ -383,15 +427,15 @@ def norm_res(stmt: Stmt, s: State) -> Res:
 
 
 def _resume(c: tuple) -> tuple:
-    """The observation of the configuration (stmt, k, s) that ends c: a
+    """The raw observation of the configuration (stmt, k, s) that ends c: a
     configuration, or the _red result of the step before."""
     s = c[-1]
     c = _red(c[-3], c[-2], s)
     tag = c[0]
     if tag == "delay":
-        return ("delay", Res(_resume, c), s)
+        return ("delay", _resume, c, s)
     if tag == "out":
-        return ("out", c[1], Res(_resume, c))
+        return ("out", c[1], _resume, c)
     if tag == "in":
         return ("in", partial(_read, c))
     return c
@@ -416,29 +460,33 @@ Event = tuple
 def drive(r: Res, next_input: Callable[[], Val | None], fuel: int) -> Iterator[Event]:
     """Yield the events of running r; next_input() supplies input values
     (None meaning no more input). Every delay, in, and out consumes one
-    fuel; a terminal event always closes the stream."""
+    fuel; a terminal event always closes the stream. It steps raw
+    observations and makes no cell but those that input continuations
+    return."""
+    fn, arg = _raw, r
+    del r  # a held head would keep any cells already memoized behind it
     while True:
         if fuel <= 0:
             yield ("truncated",)
             return
-        obs = r.step()
+        obs = fn(arg)
         tag = obs[0]
-        if tag == "ret":
-            yield ("ret", obs[1])
-            return
-        if tag == "in":
+        if tag == "delay":
+            yield ("delay",)
+            fn, arg = obs[1], obs[2]
+        elif tag == "out":
+            yield ("out", obs[1])
+            fn, arg = obs[2], obs[3]
+        elif tag == "in":
             v = next_input()
             if v is None:
                 yield ("input-exhausted",)
                 return
             yield ("in", v)
-            r = obs[1](v)
-        elif tag == "out":
-            yield ("out", obs[1])
-            r = obs[2]
+            fn, arg = _raw, obs[1](v)
         else:
-            yield ("delay",)
-            r = obs[1]
+            yield ("ret", obs[1])
+            return
         fuel -= 1
 
 

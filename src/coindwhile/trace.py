@@ -10,14 +10,16 @@ A trace is a resumption that never does input or output, so ``Trace`` is a
 view over a ``Res``: a delay observation ``("delay", rest, s)`` reads as
 ``(s, Trace(rest))`` and ``("ret", s)`` as ``(s, None)``. The memo cell and
 the interpreters are those of ``resumption.py``; this module only checks
-that a program is pure and changes the point of view.
+that a program is pure and changes the point of view. ``Trace.step()``
+memoizes, as ``Res.step()`` does; ``walk`` and ``take`` look at each state
+once and memoize nothing.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .resumption import Res, _plug, _red, eval_res, norm_res
+from .resumption import Res, _plug, _raw, _red, eval_res, norm_res
 from .syntax import Record, State, Stmt, is_pure
 
 
@@ -58,19 +60,20 @@ def walk(t: Trace, fuel: int) -> Iterator[State | None]:
     """Yield the states of t one at a time, at most fuel delays' worth plus
     a free final state if t ends by then; then None if the fuel ran out.
 
-    Only the cell being observed is referenced, so a caller that does not
-    keep t itself streams in constant memory.
+    It steps raw observations (see ``resumption._raw``): no memo cell is
+    made or filled, so a run streams in constant memory even when the
+    caller keeps t.
     """
-    r = t._res
-    del t  # a held head would keep every memoized step alive
+    fn, arg = _raw, t._res
+    del t  # a held head would keep any cells already memoized behind it
     for _ in range(fuel):
-        obs = r.step()
+        obs = fn(arg)
         if obs[0] != "delay":
             yield obs[1]
             return
-        yield obs[2]
-        r = obs[1]
-    obs = r.step()
+        yield obs[3]
+        fn, arg = obs[1], obs[2]
+    obs = fn(arg)
     yield None if obs[0] == "delay" else obs[1]
 
 

@@ -3,6 +3,7 @@ and trace-prefix equality."""
 
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -62,6 +63,65 @@ class TestStripDelays:
             assert res.head[0] == "still"
             # what remains still starts with a delay
             assert res.head[1].step()[0] == "delay"
+
+    def test_the_cell_at_the_budget_is_handed_back_forced(self):
+        calls = 0
+
+        def tick(n):
+            nonlocal calls
+            calls += 1
+            return ("delay", tick, n + 1, n)
+
+        res = strip_delays(Res(tick, 0), 5)
+        assert res.delays_consumed == 5 and calls == 6
+        obs = res.head[1].step()
+        assert obs[2] == 5 and calls == 6  # no observation is computed twice
+        assert obs[1].step()[2] == 6 and calls == 7
+
+
+def peak_bytes(run):
+    """The peak of memory allocated while run() runs, and its result."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+LOOP = "while tt do skip od"
+# a memoized delay costs over 100 bytes: 10^5 kept would be ~10 MB
+FLAT = 64 * 1024
+
+
+class TestFlatMemory:
+    # the checkers peel silent stretches without memoizing them, so a held
+    # root keeps nothing of a stretch however long
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: eval_res(ast(LOOP), EMPTY), id="eval_res"),
+        pytest.param(lambda: norm_res(ast(LOOP), EMPTY), id="norm_res"),
+        pytest.param(bot, id="bot"),
+    ])
+    def test_a_long_silent_stretch_is_stripped_in_flat_memory(self, make):
+        r = make()
+        peak, res = peak_bytes(lambda: strip_delays(r, 10**5))
+        assert res.delays_consumed == 10**5 and res.head[0] == "still"
+        assert peak < FLAT, peak
+
+    def test_responsive_peels_a_long_stretch_in_flat_memory(self):
+        r = eval_res(ast(LOOP), EMPTY)
+        peak, verdict = peak_bytes(lambda: responsive(r, 10**5, 4))
+        assert verdict == LatencyExceeded(())
+        assert peak < FLAT, peak
+
+    def test_bisim_syncs_long_stretches_in_flat_memory(self):
+        # D syncs of D-delay strips: about D^2 steps per side
+        r0, r1 = eval_res(ast(LOOP), EMPTY), norm_res(ast(LOOP), EMPTY)
+        peak, verdict = peak_bytes(
+            lambda: delay_bisim(r0, r1, BisimConfig(delay_budget=200)))
+        assert verdict == BudgetExhausted("delay")
+        assert peak < FLAT, peak
 
 
 class TestDelayBisim:

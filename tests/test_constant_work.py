@@ -188,6 +188,30 @@ class TestCompileOnFirstEntry:
         with pytest.raises(TypeError, match="not an arithmetic expression"):
             r.step()
 
+    @pytest.mark.parametrize("then", [pytest.param(Skip(), id="skip"),
+                                      pytest.param(Assign(0, NumLit(1)), id="assign")])
+    def test_a_malformed_node_after_an_if_raises_when_reached(self, then):
+        bad = NumLit(7)
+        r = eval_res(Seq(If(TT, then, Skip()), bad), EMPTY)
+        log = []
+        with pytest.raises(TypeError, match="not a statement"):
+            for ev in drive(r, lambda: None, 10):
+                log.append(ev)
+        # the guard, then the branch's own delay if it has one
+        assert log == [("delay",)] * (1 if type(then) is Skip else 2)
+        # a branch that never ends never reaches it
+        loop = While(TT, Skip())
+        assert run_events(eval_res(Seq(If(TT, loop, Skip()), bad), EMPTY), [], 50) == \
+            [("delay",)] * 50 + [("truncated",)]
+
+    def test_the_code_after_an_if_is_compiled_once(self, compiled):
+        # both branches are taken, in turn, and share the code after the if
+        stmt, _ = parse("while tt do if x = 0 then x := 1 else x := 0 fi ; y := y + 1 od")
+        log = run_events(eval_res(stmt, EMPTY), [], 100)
+        assert log == [("delay",)] * 100 + [("truncated",)]
+        body = stmt.body
+        assert compiled == [stmt, body, body.first.then, body.second, body.first.orelse]
+
     @pytest.mark.parametrize("interp", [eval_res, norm_res])
     def test_a_node_compiled_in_one_sort_is_refused_in_the_other(self, interp):
         # the loop guard compiles TT, and so caches a closure on it, before
@@ -265,6 +289,20 @@ def test_calls_per_observation_do_not_grow_with_nesting(observe, interp, shallow
     shallow = calls_per_observation(observe(interp, shallow))
     deep = calls_per_observation(observe(interp, deep))
     assert deep <= 1.25 * shallow, (shallow, deep)
+
+
+IF_FIRST = "while tt do if x = 0 then y := 2 else y := 3 fi ; x := 0 od"
+IF_LAST = "while tt do x := 0 ; if x = 0 then y := 2 else y := 3 fi od"
+
+
+@pytest.mark.parametrize("interp", [eval_res, norm_res])
+def test_an_if_costs_the_same_first_or_last_in_a_loop_body(interp):
+    # both loops run the same statements; the branches read the code after
+    # the if through one link, so a branch compiled before that code still
+    # calls it directly, with no forwarding call per exit
+    first = calls_per_observation(observe_res(interp, parse(IF_FIRST)[0]), 3000)
+    last = calls_per_observation(observe_res(interp, parse(IF_LAST)[0]), 3000)
+    assert first == pytest.approx(last, abs=0.01), (first, last)
 
 
 SOURCES = [pytest.param(NESTED, id="nested")] + [

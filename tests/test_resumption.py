@@ -3,9 +3,12 @@ resumptions, and the scripted event driver."""
 
 import gc
 import random
+import sys
+import tracemalloc
 
 import pytest
 
+from coindwhile.checks import Distinguished, EquivalentUpToBounds, trace_eq
 from coindwhile.parse import parse
 from coindwhile.resumption import (
     LDelay,
@@ -34,7 +37,7 @@ from coindwhile.syntax import (
     While,
     is_pure,
 )
-from coindwhile.trace import Trace, eval_trace, norm, take
+from coindwhile.trace import Trace, TracePrefix, eval_trace, norm, take
 
 from gen import gen_script, gen_state, gen_stmt, gen_while_stmt
 from paper import denote, loop_res, loopseq_res, seque_res
@@ -363,3 +366,205 @@ class TestProperties:
                 b = run_events(f(v), [1, 2], 32)
                 assert a == b
             checked += 1
+
+
+# ---------------------------------------------------------------------------
+# the single-pass runs against Res.step()
+
+
+def step_events(r, script, fuel):
+    """The event log of drive(), made by calling only Res.step()."""
+    inputs = iter(script)
+    log = []
+    for _ in range(fuel):
+        obs = r.step()
+        tag = obs[0]
+        if tag == "ret":
+            return log + [obs]
+        if tag == "in":
+            v = next(inputs, None)
+            if v is None:
+                return log + [("input-exhausted",)]
+            log.append(("in", v))
+            r = obs[1](v)
+        elif tag == "out":
+            log.append(("out", obs[1]))
+            r = obs[2]
+        else:
+            log.append(("delay",))
+            r = obs[1]
+    return log + [("truncated",)]
+
+
+def step_take(t, fuel):
+    """take(t, fuel), made by calling only Trace.step()."""
+    states = []
+    for _ in range(fuel + 1):
+        s, t = t.step()
+        if t is None:
+            return TracePrefix((*states, s), True)
+        states.append(s)
+    return TracePrefix(tuple(states[:-1]), False)
+
+
+def step_trace_eq(t0, t1, fuel):
+    """trace_eq(t0, t1, fuel), made by calling only Trace.step()."""
+
+    def describe(s, tail):
+        return ("nil", s) if tail is None else ("delay", s)
+
+    for i in range(fuel + 1):
+        (s0, n0), (s1, n1) = t0.step(), t1.step()
+        if s0 != s1 or (n0 is None) != (n1 is None):
+            return Distinguished((i, describe(s0, n0), describe(s1, n1)))
+        if n0 is None:
+            return EquivalentUpToBounds()
+        t0, t1 = n0, n1
+    return EquivalentUpToBounds()
+
+
+def forced(r, n):
+    """r after its first n observations have been memoized by step()."""
+    head = r
+    for _ in range(n):
+        obs = r.step()
+        tag = obs[0]
+        if tag == "ret":
+            break
+        r = obs[1](0) if tag == "in" else obs[2] if tag == "out" else obs[1]
+    return head
+
+
+HAND_BUILT = [
+    pytest.param(bot, id="bot"),
+    pytest.param(lambda: rep(4), id="rep"),
+    pytest.param(lambda: rep_fast(2), id="rep_fast"),
+    pytest.param(lambda: echo(EMPTY), id="echo"),
+    pytest.param(echo_div, id="echo_div"),
+]
+LOOP = "while tt do skip od"
+
+
+class TestSinglePassRuns:
+    # drive, take and trace_eq step raw observations and memoize nothing;
+    # they must see what a loop of step() calls sees, on fresh cells, on
+    # cells that step() has already forced, and on hand-built resumptions
+
+    @pytest.mark.parametrize("interp", [eval_res, norm_res, denote])
+    def test_run_events_equals_stepping(self, interp):
+        rng = random.Random(1601)
+        for i in range(150):
+            stmt = gen_stmt(rng, 6, io=i % 2 == 0)
+            s = gen_state(rng)
+            script = gen_script(rng)
+            want = step_events(interp(stmt, s), script, 100)
+            assert run_events(interp(stmt, s), script, 100) == want, (stmt, s, script)
+            for n in (1, 5):
+                # an input's continuation makes a fresh cell on each call,
+                # so the branch forced() took does not bind the script's
+                r = forced(interp(stmt, s), n)
+                assert run_events(r, script, 100) == want, (stmt, s, script, n)
+
+    @pytest.mark.parametrize("make", HAND_BUILT)
+    def test_run_events_equals_stepping_on_stock_resumptions(self, make):
+        script = [0, 0, 0, 5, 0]
+        want = step_events(make(), script, 60)
+        assert run_events(make(), script, 60) == want
+        r = forced(make(), 7)
+        assert run_events(r, [0] * 3 + script, 60) == step_events(r, [0] * 3 + script, 60)
+
+    @pytest.mark.parametrize("interp", [eval_trace, norm, lambda p, s: Trace(denote(p, s))])
+    def test_take_equals_stepping(self, interp):
+        rng = random.Random(1602)
+        for _ in range(150):
+            stmt = gen_stmt(rng, 6)
+            s = gen_state(rng)
+            for fuel in (0, 3, 80):
+                want = step_take(interp(stmt, s), fuel)
+                assert take(interp(stmt, s), fuel) == want, (stmt, s, fuel)
+                t = interp(stmt, s)
+                t.step()
+                assert take(t, fuel) == want, (stmt, s, fuel)
+                assert take(t, fuel) == want, (stmt, s, fuel)
+
+    def test_trace_eq_equals_stepping(self):
+        rng = random.Random(1603)
+        verdicts = set()
+        for _ in range(150):
+            a, b = gen_stmt(rng, 5), gen_stmt(rng, 5)
+            s = gen_state(rng)
+            pairs = [(eval_trace(a, s), norm(a, s)), (eval_trace(a, s), norm(b, s)),
+                     (Trace(denote(a, s)), eval_trace(b, s))]
+            for t0, t1 in pairs:
+                want = step_trace_eq(t0, t1, 60)
+                assert trace_eq(t0, t1, 60) == want, (a, b, s)
+                verdicts.add(type(want))
+        assert verdicts == {EquivalentUpToBounds, Distinguished}
+
+    def test_trace_eq_on_forced_heads(self):
+        stmt = ast("x := 3 ; while 1 <= x do x := x - 1 od")
+        t0, t1 = eval_trace(stmt, EMPTY), norm(stmt, EMPTY)
+        for t in (t0, t1):
+            step_take(t, 4)
+        want = step_trace_eq(eval_trace(stmt, EMPTY), norm(stmt, EMPTY), 20)
+        assert want == EquivalentUpToBounds()
+        assert trace_eq(t0, t1, 20) == want
+        other = eval_trace(ast("x := 3 ; while 2 <= x do x := x - 1 od"), EMPTY)
+        want = step_trace_eq(t0, other, 20)
+        assert type(want) is Distinguished
+        assert trace_eq(t0, other, 20) == want
+
+
+def cells_built(run):
+    """The number of Res cells made while run() runs."""
+    made = 0
+    codes = {Res.__init__.__code__, Res._of.__code__}
+
+    def count(frame, event, arg):
+        nonlocal made
+        if event == "call" and frame.f_code in codes:
+            made += 1
+
+    sys.setprofile(count)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return made
+
+
+class TestFusion:
+    @pytest.mark.parametrize("make, run", [
+        pytest.param(lambda: eval_res(ast(LOOP), EMPTY),
+                     lambda r: run_events(r, [], 10_000), id="drive-eval_res"),
+        pytest.param(lambda: norm_res(ast(LOOP), EMPTY),
+                     lambda r: run_events(r, [], 10_000), id="drive-norm_res"),
+        pytest.param(lambda: eval_trace(ast(LOOP), EMPTY),
+                     lambda t: take(t, 10_000), id="take-eval_trace"),
+        pytest.param(lambda: norm(ast(LOOP), EMPTY),
+                     lambda t: take(t, 10_000), id="take-norm"),
+        pytest.param(lambda: (eval_trace(ast(LOOP), EMPTY), norm(ast(LOOP), EMPTY)),
+                     lambda ts: trace_eq(*ts, 10_000), id="trace_eq"),
+    ])
+    def test_a_long_run_builds_no_cells(self, make, run):
+        head = make()
+        assert cells_built(lambda: run(head)) == 0
+
+    def test_stepping_builds_a_cell_per_observation(self):
+        r = eval_res(ast(LOOP), EMPTY)
+        assert cells_built(lambda: step_events(r, [], 100)) == 100
+
+    @pytest.mark.parametrize("interp", [eval_trace, norm])
+    def test_take_of_a_held_trace_keeps_nothing(self, interp):
+        t = interp(ast(LOOP), EMPTY)
+        tracemalloc.start()
+        try:
+            prefix = take(t, 10**5)
+            assert len(prefix.states) == 10**5 and not prefix.ended
+            del prefix
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # a memoized step costs over 100 bytes: 10^5 of them would be ~10 MB
+        assert kept < 64 * 1024, kept
+        assert t.step()[0] == EMPTY
