@@ -19,11 +19,14 @@ output: ``trace.Trace`` reads ``("delay", rest, s)`` as ``(s, rest)`` and
 
 A resumption is a memo cell ``Res(fn, arg)``, and ``fn(arg)`` is its
 observation in raw form, each rest a function and its argument:
-``("out", value, fn, arg)`` and ``("delay", fn, arg, state)``. Only
-``step()`` memoizes: it puts the rest in a new cell. A run that looks at
-each observation once (``drive``, ``trace.walk``, ``checks.trace_eq`` and
-``checks.strip_delays``) calls the pairs itself and makes no cell;
-``_raw(r)`` gives any cell's observation in raw form, forced or not.
+``("out", value, fn, arg)`` and ``("delay", fn, arg, state)``. An input
+``("in", fn, arg)`` that reads v leaves the rest ``fn`` with the argument
+``(arg, v)``. Only ``step()`` memoizes: it puts the rest in a new cell, or
+for an input gives a continuation that makes one per call. A run that
+looks at each observation once (``drive``, ``trace.walk``,
+``checks.trace_eq`` and ``checks.strip_delays``) calls the pairs itself
+and makes no cell; ``_raw(r)`` gives any cell's observation in raw form,
+forced or not.
 
 The big-step interpreter ``eval_res`` runs code made by ``_compile`` when a
 statement is first entered, so a run compiles only what it reaches; each
@@ -33,9 +36,12 @@ The small-step interpreter ``norm_res`` runs configurations
 ``(stmt, context, state)``. The context is the stack of ``Seq`` second
 components still to run, and it is kept from one step to the next
 (refocusing, Danvy & Nielsen 2004), so a step costs the same however deeply
-the running statement sits inside nested ``Seq`` nodes. A rest is
-``_resume`` and the tuple of the step before. ``red_res`` plugs the context
-back into a statement. Both evaluate expressions through the closures that
+the running statement sits inside nested ``Seq`` nodes. Any other
+statement is stepped by a function built by ``_step`` when the statement
+is first reached and cached on its node, so no step dispatches on the
+statement's syntax. A rest is ``_resume`` and the tuple of the step
+before. ``red_res`` plugs the context back into a statement. Both
+interpreters evaluate expressions through the closures that
 ``syntax.compile_aexp``/``compile_bexp`` cache on the expression nodes.
 """
 
@@ -120,11 +126,14 @@ def _raw(r: Res) -> tuple:
         return ("delay", _raw, obs[1], obs[2])
     if tag == "out":
         return ("out", obs[1], _raw, obs[2])
+    if tag == "in":
+        return ("in", _apply, obs[1])
     return obs
 
 
 def _memo(obs: tuple) -> tuple:
-    """The raw observation obs as step() returns it: its rest in a cell."""
+    """The raw observation obs as step() returns it: its rest in a cell,
+    and for an input, a continuation that makes one."""
     tag = obs[0]
     if tag == "delay":
         fn, arg = obs[1], obs[2]
@@ -132,7 +141,23 @@ def _memo(obs: tuple) -> tuple:
     if tag == "out":
         fn, arg = obs[2], obs[3]
         return ("out", obs[1], arg if fn is _raw else Res(fn, arg))
+    if tag == "in":
+        fn, arg = obs[1], obs[2]
+        return ("in", arg if fn is _apply else partial(_feed, fn, arg))
     return obs
+
+
+def _apply(fv: tuple) -> tuple:
+    """The raw observation of f(v), for the pair (f, v) of a continuation
+    f: Val -> Res and a value v."""
+    f, v = fv
+    return _raw(f(v))
+
+
+def _feed(fn: Callable[[tuple], tuple], arg: object, v: Val) -> Res:
+    """The cell of the run after a raw input observation ("in", fn, arg)
+    reads v."""
+    return Res(fn, (arg, v))
 
 
 def _first_of(make: Callable[[], Res]) -> tuple:
@@ -282,7 +307,7 @@ def _compile(stmt: Stmt, ctx: Context) -> Code:
     t = type(stmt)
     if t is Assign:
         x, e = stmt.var, compile_aexp(stmt.expr)
-        return _delay(lambda s: rest(s.upd(x, e(s))))
+        return _delay(lambda s: rest(s._set(x, e(s))))
     if t is If:
         c, then, orelse = compile_bexp(stmt.cond), stmt.then, stmt.orelse
 
@@ -311,10 +336,11 @@ def _compile(stmt: Stmt, ctx: Context) -> Code:
         x = stmt.var
 
         # called any number of times: checkers probe and replay it
-        def read(s, v):
-            return Res(rest, s.upd(x, v))
+        def read(sv):
+            s, v = sv
+            return rest(s.upd(x, v))
 
-        return lambda s: ("in", partial(read, s))
+        return lambda s: ("in", read, s)
     if t is Output:
         e = compile_aexp(stmt.expr)
         return lambda s: ("out", e(s), rest, s)
@@ -372,7 +398,8 @@ def _red(stmt: Stmt, k: Context, s: State) -> tuple:
 
     A Seq pushes its second component onto k and a Skip pops it, so only
     the focused statement is taken apart; _plug(stmt, k) is the statement
-    the configuration stands for.
+    the configuration stands for. Any other statement is stepped by the
+    function that _step built for it and cached on the node.
     """
     while True:
         t = type(stmt)
@@ -383,21 +410,41 @@ def _red(stmt: Stmt, k: Context, s: State) -> tuple:
             if k is None:
                 return ("ret", s)
             stmt, k = k
-        elif t is Assign:
-            return ("delay", SKIP, k, s.upd(stmt.var, compile_aexp(stmt.expr)(s)))
-        elif t is If:
-            holds = compile_bexp(stmt.cond)(s)
-            return ("delay", stmt.then if holds else stmt.orelse, k, s)
-        elif t is While:
-            if compile_bexp(stmt.cond)(s):
-                return ("delay", stmt.body, (stmt, k), s)
-            return ("delay", SKIP, k, s)
-        elif t is Input:
-            return ("in", stmt.var, SKIP, k, s)
-        elif t is Output:
-            return ("out", compile_aexp(stmt.expr)(s), SKIP, k, s)
         else:
-            raise TypeError(f"not a statement: {stmt!r}")
+            try:
+                step = stmt._step
+            except AttributeError:  # not built yet, or not a statement
+                step = _step(stmt)
+            return step(stmt, k, s)
+
+
+def _step(stmt: Stmt) -> Callable[[Stmt, Context, State], tuple]:
+    """The one-step reducer of stmt, neither a Seq nor a Skip, cached on
+    it: step(stmt, k, s) is _red(stmt, k, s). It is built when _red first
+    reaches stmt, so a malformed node raises TypeError only then. The node
+    is passed in, not captured, so that it is in no reference cycle with
+    its own step."""
+    t = type(stmt)
+    if t is Assign:
+        x, e = stmt.var, compile_aexp(stmt.expr)
+        step = lambda node, k, s: ("delay", SKIP, k, s._set(x, e(s)))
+    elif t is If:
+        c, then, orelse = compile_bexp(stmt.cond), stmt.then, stmt.orelse
+        step = lambda node, k, s: ("delay", then if c(s) else orelse, k, s)
+    elif t is While:
+        c, body = compile_bexp(stmt.cond), stmt.body
+        step = lambda node, k, s: (("delay", body, (node, k), s) if c(s)
+                                   else ("delay", SKIP, k, s))
+    elif t is Input:
+        x = stmt.var
+        step = lambda node, k, s: ("in", x, SKIP, k, s)
+    elif t is Output:
+        e = compile_aexp(stmt.expr)
+        step = lambda node, k, s: ("out", e(s), SKIP, k, s)
+    else:
+        raise TypeError(f"not a statement: {stmt!r}")
+    stmt._step = step
+    return step
 
 
 def _plug(stmt: Stmt, k: Context) -> Stmt:
@@ -437,14 +484,15 @@ def _resume(c: tuple) -> tuple:
     if tag == "out":
         return ("out", c[1], _resume, c)
     if tag == "in":
-        return ("in", partial(_read, c))
+        return ("in", _read, c)
     return c
 
 
-def _read(c: tuple, v: Val) -> Res:
-    """The run after the input step c reads v."""
-    _, x, stmt, k, s = c
-    return Res(_resume, (stmt, k, s.upd(x, v)))
+def _read(cv: tuple) -> tuple:
+    """The raw observation of the run after the input step c reads v, for
+    the pair (c, v)."""
+    (_, x, stmt, k, s), v = cv
+    return _resume((stmt, k, s.upd(x, v)))
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +509,7 @@ def drive(r: Res, next_input: Callable[[], Val | None], fuel: int) -> Iterator[E
     """Yield the events of running r; next_input() supplies input values
     (None meaning no more input). Every delay, in, and out consumes one
     fuel; a terminal event always closes the stream. It steps raw
-    observations and makes no cell but those that input continuations
-    return."""
+    observations and makes no cell."""
     fn, arg = _raw, r
     del r  # a held head would keep any cells already memoized behind it
     while True:
@@ -483,7 +530,7 @@ def drive(r: Res, next_input: Callable[[], Val | None], fuel: int) -> Iterator[E
                 yield ("input-exhausted",)
                 return
             yield ("in", v)
-            fn, arg = _raw, obs[1](v)
+            fn, arg = obs[1], (obs[2], v)
         else:
             yield ("ret", obs[1])
             return

@@ -102,8 +102,10 @@ class Node(Record):
 
     An expression node caches its closure, once compiled, in a slot named
     for its sort (``_arith`` or ``_bool``), so that a node of one sort is
-    refused in a place of the other; equality, hash, repr and pickling
-    ignore that slot."""
+    refused in a place of the other. A statement other than ``Seq`` and
+    ``Skip`` caches its one-step reducer for the small-step interpreter,
+    once built, in the slot ``_step`` (see ``resumption._red``). Equality,
+    hash, repr and pickling ignore these slots."""
 
     __slots__ = ("_hash",)
     _pure = True
@@ -224,7 +226,8 @@ class Seq(Node):
 
 
 class Assign(Node):
-    __slots__ = __match_args__ = ("var", "expr")
+    __match_args__ = ("var", "expr")
+    __slots__ = __match_args__ + ("_step",)
 
     def __init__(self, var: Var, expr: AExp):
         self.var = _index(var)
@@ -234,7 +237,7 @@ class Assign(Node):
 
 class If(Node):
     __match_args__ = ("cond", "then", "orelse")
-    __slots__ = __match_args__ + ("_pure",)
+    __slots__ = __match_args__ + ("_pure", "_step")
 
     def __init__(self, cond: BExp, then: "Stmt", orelse: "Stmt"):
         self.cond = cond
@@ -246,7 +249,7 @@ class If(Node):
 
 class While(Node):
     __match_args__ = ("cond", "body")
-    __slots__ = __match_args__ + ("_pure",)
+    __slots__ = __match_args__ + ("_pure", "_step")
 
     def __init__(self, cond: BExp, body: "Stmt"):
         self.cond = cond
@@ -256,7 +259,8 @@ class While(Node):
 
 
 class Input(Node):
-    __slots__ = __match_args__ = ("var",)
+    __match_args__ = ("var",)
+    __slots__ = __match_args__ + ("_step",)
     _pure = False
 
     def __init__(self, var: Var):
@@ -265,7 +269,8 @@ class Input(Node):
 
 
 class Output(Node):
-    __slots__ = __match_args__ = ("expr",)
+    __match_args__ = ("expr",)
+    __slots__ = __match_args__ + ("_step",)
     _pure = False
 
     def __init__(self, expr: AExp):
@@ -318,9 +323,14 @@ class State:
         return vals[x] if _index(x) < len(vals) else 0
 
     def upd(self, x: Var, v: Val) -> "State":
-        v = (v + _HALF) % _MOD - _HALF
         if type(x) is not int or x < 0:
             _index(x)  # raises
+        return self._set(x, (v + _HALF) % _MOD - _HALF)
+
+    def _set(self, x: Var, v: Val) -> "State":
+        """upd for a variable index x and a value v already wrapped, as in
+        compiled assignments: the Assign node checked x, and the expression
+        closure wrapped v."""
         vals = self._vals
         if x < len(vals):
             # a copy through a list: cheaper than slicing around x
@@ -425,7 +435,80 @@ def bexp(b: BExp, s: State) -> bool:
 #
 # Each expression node is compiled once into a closure State -> value, kept
 # on the node, so that evaluating it does no dispatch on syntax; the results
-# equal aexp/bexp. Both interpreters evaluate through these closures.
+# equal aexp/bexp. Both interpreters evaluate through these closures. A
+# binary node reads a leaf operand inline, so it costs one call whatever
+# its operands.
+
+
+def _leaf(a):
+    """The pair (x, c) that a binary node reads its operand a as, inline,
+    ``vals[x] if x < len(vals) else c``, if a is a leaf: a variable x has
+    c = 0, and a literal is its wrapped value c at an index past the end of
+    any state. None if a is not a leaf."""
+    t = type(a)
+    if t is VarRef:
+        return a.var, 0
+    if t is NumLit:
+        return _MOD, wrap(a.value)
+    return None
+
+
+def _binary(t: type, l, r) -> Callable[[State], Val | bool]:
+    """The closure of a binary node of type t (Add, Sub, Mul, Eq or Le)
+    whose operands are l and r: each a pair from _leaf, or a closure."""
+    if type(l) is tuple and type(r) is tuple:
+        (x, c), (y, d) = l, r
+        if t is Add:
+            return lambda s: ((v[x] if x < (n := len(v := s._vals)) else c)
+                              + (v[y] if y < n else d) + _HALF) % _MOD - _HALF
+        if t is Sub:
+            return lambda s: ((v[x] if x < (n := len(v := s._vals)) else c)
+                              - (v[y] if y < n else d) + _HALF) % _MOD - _HALF
+        if t is Mul:
+            return lambda s: ((v[x] if x < (n := len(v := s._vals)) else c)
+                              * (v[y] if y < n else d) + _HALF) % _MOD - _HALF
+        if t is Eq:
+            return lambda s: ((v[x] if x < (n := len(v := s._vals)) else c)
+                              == (v[y] if y < n else d))
+        return lambda s: ((v[x] if x < (n := len(v := s._vals)) else c)
+                          <= (v[y] if y < n else d))
+    if type(l) is tuple:
+        x, c = l
+        if t is Add:
+            return lambda s: ((v[x] if x < len(v := s._vals) else c)
+                              + r(s) + _HALF) % _MOD - _HALF
+        if t is Sub:
+            return lambda s: ((v[x] if x < len(v := s._vals) else c)
+                              - r(s) + _HALF) % _MOD - _HALF
+        if t is Mul:
+            return lambda s: ((v[x] if x < len(v := s._vals) else c)
+                              * r(s) + _HALF) % _MOD - _HALF
+        if t is Eq:
+            return lambda s: (v[x] if x < len(v := s._vals) else c) == r(s)
+        return lambda s: (v[x] if x < len(v := s._vals) else c) <= r(s)
+    if type(r) is tuple:
+        y, d = r
+        if t is Add:
+            return lambda s: (l(s) + (v[y] if y < len(v := s._vals) else d)
+                              + _HALF) % _MOD - _HALF
+        if t is Sub:
+            return lambda s: (l(s) - (v[y] if y < len(v := s._vals) else d)
+                              + _HALF) % _MOD - _HALF
+        if t is Mul:
+            return lambda s: (l(s) * (v[y] if y < len(v := s._vals) else d)
+                              + _HALF) % _MOD - _HALF
+        if t is Eq:
+            return lambda s: l(s) == (v[y] if y < len(v := s._vals) else d)
+        return lambda s: l(s) <= (v[y] if y < len(v := s._vals) else d)
+    if t is Add:
+        return lambda s: (l(s) + r(s) + _HALF) % _MOD - _HALF
+    if t is Sub:
+        return lambda s: (l(s) - r(s) + _HALF) % _MOD - _HALF
+    if t is Mul:
+        return lambda s: (l(s) * r(s) + _HALF) % _MOD - _HALF
+    if t is Eq:
+        return lambda s: l(s) == r(s)
+    return lambda s: l(s) <= r(s)
 
 
 def compile_aexp(a: AExp) -> Callable[[State], Val]:
@@ -445,13 +528,9 @@ def compile_aexp(a: AExp) -> Callable[[State], Val]:
         v = wrap(a.value)
         f = lambda s: v
     elif t is Add or t is Sub or t is Mul:
-        l, r = compile_aexp(a.left), compile_aexp(a.right)
-        if t is Add:
-            f = lambda s: (l(s) + r(s) + _HALF) % _MOD - _HALF
-        elif t is Sub:
-            f = lambda s: (l(s) - r(s) + _HALF) % _MOD - _HALF
-        else:
-            f = lambda s: (l(s) * r(s) + _HALF) % _MOD - _HALF
+        # _leaf before compile_aexp, so that a deep tree costs one frame a level
+        l, r = a.left, a.right
+        f = _binary(t, _leaf(l) or compile_aexp(l), _leaf(r) or compile_aexp(r))
     else:
         raise TypeError(f"not an arithmetic expression: {a!r}")
     a._arith = f
@@ -469,8 +548,8 @@ def compile_bexp(b: BExp) -> Callable[[State], bool]:
     elif t is FalseLit:
         f = lambda s: False
     elif t is Eq or t is Le:
-        l, r = compile_aexp(b.left), compile_aexp(b.right)
-        f = (lambda s: l(s) == r(s)) if t is Eq else (lambda s: l(s) <= r(s))
+        l, r = b.left, b.right
+        f = _binary(t, _leaf(l) or compile_aexp(l), _leaf(r) or compile_aexp(r))
     elif t is Not:
         n, x = strip_nots(b)
         x = compile_bexp(x)
@@ -494,9 +573,11 @@ def is_pure(stmt: Stmt) -> bool:
     return stmt._pure
 
 
-# the node types whose fields are all child nodes, and those with no field
-# that holds a node or a variable
-_INNER = frozenset((Add, Sub, Mul, Eq, Le, Not, And, Or, Seq, If, While, Output))
+# the node types with two child nodes, as (left, right) or (first,
+# second); the other inner nodes, whose fields are all child nodes; and
+# the nodes with no field that holds a node or a variable
+_BINARY = frozenset((Add, Sub, Mul, Eq, Le, And, Or))
+_INNER = frozenset((Not, If, While, Output))
 _LEAVES = frozenset((NumLit, TrueLit, FalseLit, Skip))
 
 
@@ -510,9 +591,19 @@ def map_variables(stmt: Stmt, f: Callable[[Var], Var]) -> Stmt:
     while todo:
         n = todo.pop()
         t = type(n)
-        if t is tuple:  # (node, new var or None): its children are on done
-            n, x = n
-            if x is None:
+        if t is VarRef:
+            x = f(n.var)
+            done.append(n if x == n.var else VarRef(x))
+        elif t in _LEAVES:
+            done.append(n)
+        elif t is tuple:  # a node whose children are on done
+            if len(n) == 3:  # (node, child, child) of a node with two
+                n, a, b = n
+                r = done.pop()
+                l = done.pop()
+                done.append(n if l is a and r is b else type(n)(l, r))
+            elif n[1] is None:  # (node, None) of another inner node
+                n = n[0]
                 fields = n.__match_args__
                 kids = done[-len(fields):]
                 del done[-len(fields):]
@@ -520,19 +611,22 @@ def map_variables(stmt: Stmt, f: Callable[[Var], Var]) -> Stmt:
                     if kid is not getattr(n, field):
                         n = type(n)(*kids)
                         break
-            else:
+                done.append(n)
+            else:  # (assignment, new var)
+                n, x = n
                 e = done.pop()
-                if x != n.var or e is not n.expr:
-                    n = Assign(x, e)
-            done.append(n)
-        elif t in _LEAVES:
-            done.append(n)
-        elif t is VarRef or t is Input:
-            x = f(n.var)
-            done.append(n if x == n.var else t(x))
+                done.append(n if x == n.var and e is n.expr else Assign(x, e))
+        elif t in _BINARY:
+            a, b = n.left, n.right
+            todo += ((n, a, b), b, a)
+        elif t is Seq:
+            a, b = n.first, n.second
+            todo += ((n, a, b), b, a)
         elif t is Assign:
-            todo.append((n, f(n.var)))
-            todo.append(n.expr)
+            todo += ((n, f(n.var)), n.expr)
+        elif t is Input:
+            x = f(n.var)
+            done.append(n if x == n.var else Input(x))
         elif t in _INNER:
             todo.append((n, None))
             todo.extend([getattr(n, field) for field in reversed(n.__match_args__)])

@@ -8,6 +8,7 @@ nest of loops or conditionals recurses. Big-step compiles only the
 statements a run reaches, each once. Both must still produce the same runs.
 """
 
+import gc
 import sys
 from itertools import repeat
 from pathlib import Path
@@ -175,6 +176,46 @@ class TestCompileOnFirstEntry:
         assert log[-1] == ("ret", EMPTY.upd(0, 1000).upd(1, 499500))
         loop = stmt.second
         assert compiled == [stmt, loop, loop.body, loop.body.second]
+
+    @pytest.fixture
+    def stepped(self, monkeypatch):
+        """The statements resumption._step builds a small step for, in order."""
+        seen = []
+        step_ = resumption._step
+
+        def counting(stmt):
+            seen.append(stmt)
+            return step_(stmt)
+
+        monkeypatch.setattr(resumption, "_step", counting)
+        return seen
+
+    def test_a_small_step_is_built_once_per_statement(self, stepped):
+        stmt, _ = parse("x := 0 ; while x <= 999 do y := y + x ; x := x + 1 od")
+        want = ("ret", EMPTY.upd(0, 1000).upd(1, 499500))
+        for _ in range(2):
+            assert run_events(norm_res(stmt, EMPTY), [], 10**4)[-1] == want
+            assert take(norm(stmt, EMPTY), 10**4).states[-1] == want[1]
+        loop = stmt.second
+        assert stepped == [stmt.first, loop, loop.body.first, loop.body.second]
+
+    def test_a_small_step_run_leaves_no_cyclic_garbage(self):
+        # a cached step is passed its node, never holds it, so a parsed
+        # tree is freed by reference counting once the run is dropped
+        src = (PROGRAMS / "echo.whl").read_text()
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(3):
+                stmt, _ = parse(f"{src} ; x := 0 ; while x <= 9 do "
+                                "if x = 3 then x := x + 2 else x := x + 1 fi od")
+                assert run_events(norm_res(stmt, EMPTY), [0, 0, 1], 100)[-1][0] == "ret"
+                stmt, _ = parse("x := 0 ; while x <= 9 do x := x + 1 od")
+                assert take(norm(stmt, EMPTY), 100).ended
+                del stmt
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_a_malformed_node_raises_when_reached(self):
         bad = NumLit(7)  # a node that is not a statement

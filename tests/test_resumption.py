@@ -5,6 +5,7 @@ import gc
 import random
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +44,7 @@ from gen import gen_script, gen_state, gen_stmt, gen_while_stmt
 from paper import denote, loop_res, loopseq_res, seque_res
 
 EMPTY = State.empty()
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
 
 def ast(src):
@@ -549,6 +551,17 @@ class TestFusion:
     def test_a_long_run_builds_no_cells(self, make, run):
         head = make()
         assert cells_built(lambda: run(head)) == 0
+
+    @pytest.mark.parametrize("interp", [eval_res, norm_res])
+    def test_an_input_builds_no_cell(self, interp):
+        # an input step reads its value into the rest's argument, as a
+        # delay or an output passes its state, so drive builds nothing
+        stmt = ast((PROGRAMS / "echo.whl").read_text())
+        r = interp(stmt, EMPTY)
+        log = []
+        assert cells_built(lambda: log.extend(run_events(r, [0] * 10**4, 10**4))) == 0
+        assert log == step_events(interp(stmt, EMPTY), [0] * 10**4, 10**4)
+        assert log.count(("in", 0)) == 3334
 
     def test_stepping_builds_a_cell_per_observation(self):
         r = eval_res(ast(LOOP), EMPTY)

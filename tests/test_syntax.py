@@ -1,5 +1,6 @@
 """States, expression evaluation, and the wrap-around value domain."""
 
+import itertools
 import pickle
 import random
 import subprocess
@@ -9,7 +10,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coindwhile.syntax import (
+    FF,
+    TT,
     Add,
+    And,
     Assign,
     If,
     Input,
@@ -234,6 +238,55 @@ class TestCompiledExpressions:
 
     def test_literal_out_of_range_wraps(self):
         assert compile_aexp(NumLit(2**64 + 5))(EMPTY) == 5
+
+    # a binary node reads a variable or literal operand inline: each shape
+    # on each side is its own closure, checked against aexp/bexp
+    OPERANDS = [
+        lambda: VarRef(0),
+        lambda: VarRef(9),  # past the state's end
+        lambda: NumLit(-7),
+        lambda: NumLit(2**63),
+        lambda: NumLit(2**64 + 5),
+        lambda: NumLit(-(2**64) - 1),
+        lambda: Mul(VarRef(1), NumLit(3)),
+    ]
+    VALUES = [0, 1, -1, 2**63 - 1, -(2**63), 2**62 + 1]
+
+    @pytest.mark.parametrize("op", [Add, Sub, Mul, Eq, Le])
+    def test_each_operand_shape_agrees_with_aexp_bexp(self, op):
+        run, ref = (compile_bexp, bexp) if op in (Eq, Le) else (compile_aexp, aexp)
+        for left, right in itertools.product(self.OPERANDS, repeat=2):
+            e = op(left(), right())
+            f = run(e)
+            for x, y in itertools.product(self.VALUES, repeat=2):
+                s = State({0: x, 1: y})
+                assert f(s) == ref(e, s), (e, s)
+                assert type(f(s)) is type(ref(e, s))
+
+    def test_products_wrap(self):
+        s = State({0: 2**63 - 1, 1: -(2**63)})
+        for e in (Mul(VarRef(0), VarRef(0)), Mul(VarRef(1), NumLit(-1)),
+                  Mul(Add(VarRef(0), NumLit(1)), VarRef(1)),
+                  Add(VarRef(1), Mul(NumLit(2**40), NumLit(2**40)))):
+            assert compile_aexp(e)(s) == aexp(e, s)
+            assert -(2**63) <= compile_aexp(e)(s) < 2**63
+        assert compile_aexp(Mul(VarRef(1), NumLit(-1)))(s) == -(2**63)
+
+    @pytest.mark.parametrize("e", [
+        Add(TrueLit(), NumLit(1)), Sub(VarRef(0), FalseLit()), Mul(TT, TT),
+        Add(NumLit(1), Eq(VarRef(0), NumLit(1))),
+    ], ids=repr)
+    def test_a_boolean_operand_is_refused(self, e):
+        with pytest.raises(TypeError, match="not an arithmetic expression"):
+            compile_aexp(e)
+
+    @pytest.mark.parametrize("e", [
+        Le(VarRef(0), TT), Eq(FF, NumLit(1)), Le(Not(TT), VarRef(0)),
+        Eq(VarRef(0), And(TT, FF)),
+    ], ids=repr)
+    def test_a_boolean_comparand_is_refused(self, e):
+        with pytest.raises(TypeError, match="not an arithmetic expression"):
+            compile_bexp(e)
 
 
 class TestStmtUtils:
