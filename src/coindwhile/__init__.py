@@ -10,7 +10,6 @@ from .resumption import (
     echo_div,
     eval_res,
     norm_res,
-    red_res,
     rep,
     rep_fast,
     run_events,
@@ -22,7 +21,6 @@ from .trace import (
     TracePrefix,
     eval_trace,
     norm,
-    red,
     take,
 )
 
@@ -35,7 +33,6 @@ _FROM_CHECKS = frozenset({
     "EquivalentUpToBounds",
     "LatencyExceeded",
     "ResponsiveUpToBounds",
-    "StripResult",
     "delay_bisim",
     "responsive",
     "strip_delays",
@@ -62,7 +59,6 @@ __all__ = [
     "Res",
     "ResponsiveUpToBounds",
     "State",
-    "StripResult",
     "Trace",
     "TracePrefix",
     "aexp",
@@ -78,8 +74,6 @@ __all__ = [
     "norm_res",
     "parse",
     "pretty",
-    "red",
-    "red_res",
     "rep",
     "rep_fast",
     "responsive",

@@ -85,23 +85,11 @@ class BisimConfig(Record):
 # delay stripping
 
 
-class StripResult(Record):
-    """Outcome of peeling leading delays off a resumption.
-
-    head is ("ret", state) | ("in", f) | ("out", v, rest) | ("still", res),
-    where "still" means the budget ran out with the resumption still
-    delaying (res starts with a delay).
-    """
-
-    __slots__ = __match_args__ = ("delays_consumed", "head")
-
-    def __init__(self, delays_consumed: int, head: tuple):
-        self.delays_consumed = delays_consumed
-        self.head = head
-
-
-def strip_delays(r: Res, budget: int) -> StripResult:
-    """Peel up to budget leading delays and report what is underneath.
+def strip_delays(r: Res, budget: int) -> tuple:
+    """Peel up to budget leading delays and return the head underneath:
+    ("ret", state) | ("in", f) | ("out", v, rest) | ("still", res), where
+    "still" means the budget ran out with the resumption still delaying
+    (res starts with a delay).
 
     The delays are stepped raw (see ``resumption._raw``) and none is
     memoized, so memory stays flat however long the stretch. "still" hands
@@ -113,9 +101,9 @@ def strip_delays(r: Res, budget: int) -> StripResult:
     while True:
         obs = fn(arg)
         if obs[0] != "delay":
-            return StripResult(n, _memo(obs))
+            return _memo(obs)
         if n >= budget:
-            return StripResult(n, ("still", Res._of(_memo(obs))))
+            return ("still", Res._of(_memo(obs)))
         n += 1
         fn, arg = obs[1], obs[2]
 
@@ -183,8 +171,8 @@ def _pair_step(delay_budget: int, sample: tuple, pair: tuple, path: list):
     r0, r1 = pair
     syncs = 0
     while True:
-        h0 = strip_delays(r0, delay_budget).head
-        h1 = strip_delays(r1, delay_budget).head
+        h0 = strip_delays(r0, delay_budget)
+        h1 = strip_delays(r1, delay_budget)
         if h0[0] != "still" and h1[0] != "still":
             break
         if h0[0] != h1[0] or syncs >= delay_budget:
@@ -250,7 +238,7 @@ def responsive(
     sample = tuple(input_sample)
 
     def expand(r, path):
-        head = strip_delays(r, latency_budget).head
+        head = strip_delays(r, latency_budget)
         if head[0] == "still":
             return LatencyExceeded(tuple(path))
         if head[0] == "in":

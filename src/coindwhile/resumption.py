@@ -39,8 +39,10 @@ components still to run, and it is kept from one step to the next
 the running statement sits inside nested ``Seq`` nodes. Any other
 statement is stepped by a function built by ``_step`` when the statement
 is first reached and cached on its node, so no step dispatches on the
-statement's syntax. A rest is ``_resume`` and the tuple of the step
-before. ``red_res`` plugs the context back into a statement. Both
+statement's syntax. That function returns the raw observation itself,
+and its rest is ``_resume`` with the configuration after the step. The
+paper's one-step reduction ``red``, which plugs the context back into a
+statement, is kept in ``tests/paper.py`` as the reference. Both
 interpreters evaluate expressions through the closures that
 ``syntax.compile_aexp``/``compile_bexp`` cache on the expression nodes.
 """
@@ -56,7 +58,6 @@ from .syntax import (
     If,
     Input,
     Output,
-    Record,
     Seq,
     Skip,
     State,
@@ -282,7 +283,7 @@ def _compile(stmt: Stmt, ctx: Context) -> Code:
     branches of an if, a loop body) starts as a stub that compiles it when
     first called and rebinds the variable its parent reads, so later calls
     go straight to compiled code and nothing here recurses. Sequences are
-    walked on the context stack, as in _red. A context ends in a link to
+    walked on the context stack, as in _resume. A context ends in a link to
     the code after it: the branches of an if share the if's, and a loop
     body's is the loop's own guard test. Every stub that reads a link
     rebinds to the link's code, whichever ran first. So the calls between
@@ -351,56 +352,22 @@ def _compile(stmt: Stmt, ctx: Context) -> Code:
 # small-step interpreter
 
 
-class LRet(Record):
-    __slots__ = __match_args__ = ("state",)
-
-    def __init__(self, state: State):
-        self.state = state
+def norm_res(stmt: Stmt, s: State) -> Res:
+    """Small-step resumption semantics: repeatedly apply the reducer."""
+    return Res(_resume, (stmt, None, s))
 
 
-class LIn(Record):
-    __slots__ = __match_args__ = ("stmt", "update")
-
-    def __init__(self, stmt: Stmt, update: Callable[[Val], State]):
-        self.stmt = stmt
-        self.update = update
-
-
-class LOut(Record):
-    __slots__ = __match_args__ = ("value", "stmt", "state")
-
-    def __init__(self, value: Val, stmt: Stmt, state: State):
-        self.value = value
-        self.stmt = stmt
-        self.state = state
-
-
-class LDelay(Record):
-    __slots__ = __match_args__ = ("stmt", "state")
-
-    def __init__(self, stmt: Stmt, state: State):
-        self.stmt = stmt
-        self.state = state
-
-
-# Lconf: the labeled outcome of one small step of I/O While.
-Lconf = LRet | LIn | LOut | LDelay
-
-
-def _red(stmt: Stmt, k: Context, s: State) -> tuple:
-    """One labeled small step of the configuration (stmt, k, s), as a
-    tagged tuple:
-
-        ("ret", state)
-        ("in", var, stmt, k, state)    the input is read into var
-        ("out", value, stmt, k, state)
-        ("delay", stmt, k, state)
+def _resume(c: tuple) -> tuple:
+    """The raw observation of the configuration c = (stmt, k, s): one
+    labelled small step, whose rest is _resume of the configuration after
+    it (for an input, _read). A delay records s, the state the step starts
+    from.
 
     A Seq pushes its second component onto k and a Skip pops it, so only
-    the focused statement is taken apart; _plug(stmt, k) is the statement
-    the configuration stands for. Any other statement is stepped by the
-    function that _step built for it and cached on the node.
+    the focused statement is taken apart. Any other statement is stepped by
+    the function that _step built for it and cached on the node.
     """
+    stmt, k, s = c
     while True:
         t = type(stmt)
         if t is Seq:
@@ -420,79 +387,39 @@ def _red(stmt: Stmt, k: Context, s: State) -> tuple:
 
 def _step(stmt: Stmt) -> Callable[[Stmt, Context, State], tuple]:
     """The one-step reducer of stmt, neither a Seq nor a Skip, cached on
-    it: step(stmt, k, s) is _red(stmt, k, s). It is built when _red first
-    reaches stmt, so a malformed node raises TypeError only then. The node
-    is passed in, not captured, so that it is in no reference cycle with
-    its own step."""
+    it: step(stmt, k, s) is _resume((stmt, k, s)). It is built when _resume
+    first reaches stmt, so a malformed node raises TypeError only then. The
+    node is passed in, not captured, so that it is in no reference cycle
+    with its own step."""
     t = type(stmt)
     if t is Assign:
         x, e = stmt.var, compile_aexp(stmt.expr)
-        step = lambda node, k, s: ("delay", SKIP, k, s._set(x, e(s)))
+        step = lambda node, k, s: ("delay", _resume, (SKIP, k, s._set(x, e(s))), s)
     elif t is If:
         c, then, orelse = compile_bexp(stmt.cond), stmt.then, stmt.orelse
-        step = lambda node, k, s: ("delay", then if c(s) else orelse, k, s)
+        step = lambda node, k, s: ("delay", _resume,
+                                   (then if c(s) else orelse, k, s), s)
     elif t is While:
         c, body = compile_bexp(stmt.cond), stmt.body
-        step = lambda node, k, s: (("delay", body, (node, k), s) if c(s)
-                                   else ("delay", SKIP, k, s))
+        step = lambda node, k, s: (("delay", _resume, (body, (node, k), s), s) if c(s)
+                                   else ("delay", _resume, (SKIP, k, s), s))
     elif t is Input:
         x = stmt.var
-        step = lambda node, k, s: ("in", x, SKIP, k, s)
+        step = lambda node, k, s: ("in", _read, (x, k, s))
     elif t is Output:
         e = compile_aexp(stmt.expr)
-        step = lambda node, k, s: ("out", e(s), SKIP, k, s)
+        step = lambda node, k, s: ("out", e(s), _resume, (SKIP, k, s))
     else:
         raise TypeError(f"not a statement: {stmt!r}")
     stmt._step = step
     return step
 
 
-def _plug(stmt: Stmt, k: Context) -> Stmt:
-    """The statement that the configuration (stmt, k) stands for."""
-    while k is not None:
-        second, k = k
-        stmt = Seq(stmt, second)
-    return stmt
-
-
-def red_res(stmt: Stmt, s: State) -> Lconf:
-    """One labeled small step of While with I/O."""
-    c = _red(stmt, None, s)
-    tag = c[0]
-    if tag == "delay":
-        return LDelay(_plug(c[1], c[2]), c[3])
-    if tag == "out":
-        return LOut(c[1], _plug(c[2], c[3]), c[4])
-    if tag == "in":
-        return LIn(_plug(c[2], c[3]), partial(c[4].upd, c[1]))
-    return LRet(c[1])
-
-
-def norm_res(stmt: Stmt, s: State) -> Res:
-    """Small-step resumption semantics: repeatedly apply the reducer."""
-    return Res(_resume, (stmt, None, s))
-
-
-def _resume(c: tuple) -> tuple:
-    """The raw observation of the configuration (stmt, k, s) that ends c: a
-    configuration, or the _red result of the step before."""
-    s = c[-1]
-    c = _red(c[-3], c[-2], s)
-    tag = c[0]
-    if tag == "delay":
-        return ("delay", _resume, c, s)
-    if tag == "out":
-        return ("out", c[1], _resume, c)
-    if tag == "in":
-        return ("in", _read, c)
-    return c
-
-
 def _read(cv: tuple) -> tuple:
-    """The raw observation of the run after the input step c reads v, for
-    the pair (c, v)."""
-    (_, x, stmt, k, s), v = cv
-    return _resume((stmt, k, s.upd(x, v)))
+    """The raw observation of the run after an input into x, waiting in
+    the context k at the state s, reads v, for the pair ((x, k, s), v)."""
+    (x, k, s), v = cv
+    return _resume((SKIP, k, s.upd(x, v)))
 
 
 # ---------------------------------------------------------------------------

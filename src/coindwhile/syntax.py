@@ -104,7 +104,7 @@ class Node(Record):
     for its sort (``_arith`` or ``_bool``), so that a node of one sort is
     refused in a place of the other. A statement other than ``Seq`` and
     ``Skip`` caches its one-step reducer for the small-step interpreter,
-    once built, in the slot ``_step`` (see ``resumption._red``). Equality,
+    once built, in the slot ``_step`` (see ``resumption._resume``). Equality,
     hash, repr and pickling ignore these slots."""
 
     __slots__ = ("_hash",)
@@ -369,14 +369,6 @@ class State:
     def __repr__(self):
         inner = ", ".join(f"{x}={v}" for x, v in self.items())
         return f"State({{{inner}}})"
-
-
-def lkp(x: Var, s: State) -> Val:
-    return s.lkp(x)
-
-
-def upd(x: Var, v: Val, s: State) -> State:
-    return s.upd(x, v)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .resumption import Res, _plug, _raw, _red, eval_res, norm_res
+from .resumption import Res, _raw, eval_res, norm_res
 from .syntax import Record, State, Stmt, is_pure
 
 
@@ -113,13 +113,3 @@ def eval_trace(stmt: Stmt, s: State) -> Trace:
 def norm(stmt: Stmt, s: State) -> Trace:
     """Small-step trace semantics: ``norm_res`` seen as a trace."""
     return Trace(norm_res(_pure(stmt), s))
-
-
-def red(stmt: Stmt, s: State) -> tuple[Stmt, State] | None:
-    """One-step reduction; None means the statement is terminal."""
-    c = _red(stmt, None, s)
-    if c[0] == "delay":
-        return (_plug(c[1], c[2]), c[3])
-    if c[0] == "ret":
-        return None
-    raise ImpureProgramError(f"input/output statement in pure context: {stmt!r}")

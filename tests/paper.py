@@ -1,14 +1,20 @@
-"""The paper's big-step semantics, written the way the paper writes it: the
-sequencing and loop combinators on resumptions (``seque_res``, ``loop_res``,
-``loopseq_res``), their views on traces (``seque``, ``loop``, ``loopseq``),
-and an interpreter, ``denote``, built from them.
+"""The paper's two semantics, written the way the paper writes them.
 
-This is the reference that the tests compare ``eval_res`` and ``norm_res``
-against; the library runs compiled big-step code instead
-(``resumption._compile``). ``denote`` evaluates expressions with the
-reference evaluators ``aexp`` and ``bexp``, so it shares no code with
-either interpreter beyond ``Res`` and ``State``. An observation passes
-through one combinator per level of statement nesting, so it recurses as
+Big-step: the sequencing and loop combinators on resumptions
+(``seque_res``, ``loop_res``, ``loopseq_res``), their views on traces
+(``seque``, ``loop``, ``loopseq``), and an interpreter, ``denote``, built
+from them. Small-step: the labelled one-step reduction ``red_ref`` on whole
+statements, and ``norm_ref``, its coinductive iteration.
+
+These are the references that the tests compare ``eval_res`` and
+``norm_res`` against, and each other: ``denote`` = ``norm_ref`` is the
+paper's theorem that big-step and small-step semantics agree. The library
+runs compiled big-step code (``resumption._compile``) and a small step that
+keeps its context as a stack (``resumption._resume``) instead. Both
+references evaluate expressions with the reference evaluators ``aexp`` and
+``bexp``, so they share no code with either interpreter beyond ``Res`` and
+``State``. An observation passes through one combinator, or one
+``red_ref`` call, per level of statement nesting, so they recurse as
 deeply as the program nests: this is for small programs.
 """
 
@@ -116,6 +122,61 @@ def denote(stmt: Stmt, s: State) -> Res:
     if t is Output:
         return Res.out(aexp(stmt.expr, s), Res.ret(s))
     raise TypeError(f"not a statement: {stmt!r}")
+
+
+# ---------------------------------------------------------------------------
+# small-step semantics
+
+
+def red_ref(stmt: Stmt, s: State) -> tuple:
+    """One labelled small step of the configuration (stmt, s), as one of
+
+        ("ret", s)                 stmt is terminal
+        ("in", stmt1, update)      reading v continues from (stmt1, update(v))
+        ("out", v, stmt1, s1)
+        ("delay", stmt1, s1)
+
+    A Seq steps its first component, or its second once the first is
+    terminal; a while unrolls to its body followed by itself.
+    """
+    t = type(stmt)
+    if t is Skip:
+        return ("ret", s)
+    if t is Assign:
+        return ("delay", Skip(), s.upd(stmt.var, aexp(stmt.expr, s)))
+    if t is Seq:
+        c = red_ref(stmt.first, s)
+        tag = c[0]
+        if tag == "ret":
+            return red_ref(stmt.second, c[1])
+        if tag == "delay":
+            return ("delay", Seq(c[1], stmt.second), c[2])
+        if tag == "out":
+            return ("out", c[1], Seq(c[2], stmt.second), c[3])
+        return ("in", Seq(c[1], stmt.second), c[2])
+    if t is If:
+        return ("delay", stmt.then if bexp(stmt.cond, s) else stmt.orelse, s)
+    if t is While:
+        return ("delay", Seq(stmt.body, stmt) if bexp(stmt.cond, s) else Skip(), s)
+    if t is Input:
+        return ("in", Skip(), lambda v: s.upd(stmt.var, v))
+    if t is Output:
+        return ("out", aexp(stmt.expr, s), Skip(), s)
+    raise TypeError(f"not a statement: {stmt!r}")
+
+
+def norm_ref(stmt: Stmt, s: State) -> Res:
+    """Small-step resumption semantics: red_ref, iterated lazily. A delay
+    records the state its step starts from, as in ``norm_res``."""
+    c = red_ref(stmt, s)
+    tag = c[0]
+    if tag == "ret":
+        return Res.ret(c[1])
+    if tag == "delay":
+        return Res.delay(Res.suspend(lambda: norm_ref(c[1], c[2])), s)
+    if tag == "out":
+        return Res.out(c[1], Res.suspend(lambda: norm_ref(c[2], c[3])))
+    return Res.inp(lambda v: Res.suspend(lambda: norm_ref(c[1], c[2](v))))
 
 
 # ---------------------------------------------------------------------------

@@ -46,23 +46,23 @@ def ast(src):
 
 
 class TestStripDelays:
+    # a head under n leading delays needs a budget of n: budget n - 1
+    # gives "still"
+
     def test_already_resolved(self):
-        res = strip_delays(Res.ret(EMPTY), 5)
-        assert res.delays_consumed == 0
-        assert res.head == ("ret", EMPTY)
+        assert strip_delays(Res.ret(EMPTY), 0) == ("ret", EMPTY)
+        assert strip_delays(Res.ret(EMPTY), 5) == ("ret", EMPTY)
 
     def test_rep_has_two_leading_delays(self):
-        res = strip_delays(rep(4), 2)
-        assert res.delays_consumed == 2
-        assert res.head[:2] == ("out", 4)
+        assert strip_delays(rep(4), 1)[0] == "still"
+        assert strip_delays(rep(4), 2)[:2] == ("out", 4)
 
     def test_all_delays_exhausts_budget(self):
         for budget in (1, 3, 8):
-            res = strip_delays(bot(), budget)
-            assert res.delays_consumed == budget
-            assert res.head[0] == "still"
+            head = strip_delays(bot(), budget)
+            assert head[0] == "still"
             # what remains still starts with a delay
-            assert res.head[1].step()[0] == "delay"
+            assert head[1].step()[0] == "delay"
 
     def test_the_cell_at_the_budget_is_handed_back_forced(self):
         calls = 0
@@ -72,9 +72,9 @@ class TestStripDelays:
             calls += 1
             return ("delay", tick, n + 1, n)
 
-        res = strip_delays(Res(tick, 0), 5)
-        assert res.delays_consumed == 5 and calls == 6
-        obs = res.head[1].step()
+        head = strip_delays(Res(tick, 0), 5)
+        assert head[0] == "still" and calls == 6
+        obs = head[1].step()
         assert obs[2] == 5 and calls == 6  # no observation is computed twice
         assert obs[1].step()[2] == 6 and calls == 7
 
@@ -105,8 +105,19 @@ class TestFlatMemory:
     ])
     def test_a_long_silent_stretch_is_stripped_in_flat_memory(self, make):
         r = make()
-        peak, res = peak_bytes(lambda: strip_delays(r, 10**5))
-        assert res.delays_consumed == 10**5 and res.head[0] == "still"
+        peak, head = peak_bytes(lambda: strip_delays(r, 10**5))
+        assert head[0] == "still"
+        assert peak < FLAT, peak
+
+    @pytest.mark.parametrize("interp", [eval_res, norm_res])
+    def test_a_long_stretch_is_stripped_to_its_end_in_flat_memory(self, interp):
+        # 1 + 50,000 guard tests + 49,999 increments: 10^5 delays, then ret
+        stmt = ast("x := 0 ; while x <= 49998 do x := x + 1 od")
+        peak, head = peak_bytes(lambda: strip_delays(interp(stmt, EMPTY), 10**5 - 1))
+        assert head[0] == "still"
+        assert peak < FLAT, peak
+        peak, head = peak_bytes(lambda: strip_delays(interp(stmt, EMPTY), 10**5))
+        assert head == ("ret", EMPTY.upd(0, 49999))
         assert peak < FLAT, peak
 
     def test_responsive_peels_a_long_stretch_in_flat_memory(self):
@@ -248,7 +259,7 @@ class TestResponsive:
 
     def test_rep_is_responsive(self):
         # rep emits within exactly two delays each cycle
-        assert strip_delays(rep(3), 2).head[0] == "out"
+        assert strip_delays(rep(3), 2)[0] == "out"
         assert responsive(rep(3), 2, 50, (0,)) == ResponsiveUpToBounds()
 
     def test_bot_is_not_responsive(self):

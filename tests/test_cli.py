@@ -630,6 +630,26 @@ class TestStartUp:
         assert proc.returncode == 0, proc.stderr
 
 
+class TestPublicSurface:
+    def test_every_exported_name_resolves(self):
+        import coindwhile
+
+        for name in coindwhile.__all__:
+            assert getattr(coindwhile, name) is not None, name
+        assert coindwhile._FROM_CHECKS <= set(coindwhile.__all__)
+
+    def test_the_one_step_wrappers_are_gone(self):
+        # the paper's red is tests/paper.py's red_ref; strip_delays returns
+        # its head tuple
+        import coindwhile
+
+        for name in ("red", "red_res", "StripResult"):
+            assert name not in coindwhile.__all__
+            assert not hasattr(coindwhile, name), name
+        assert not hasattr(trace, "red") and not hasattr(resumption, "red_res")
+        assert not hasattr(checks, "StripResult")
+
+
 class TestInteractive:
     def test_prompts_on_stderr_reads_stdin(self):
         proc = subprocess.run(

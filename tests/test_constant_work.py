@@ -18,14 +18,7 @@ import pytest
 from coindwhile import resumption
 from coindwhile.checks import EquivalentUpToBounds, trace_eq
 from coindwhile.parse import parse
-from coindwhile.resumption import (
-    LDelay,
-    drive,
-    eval_res,
-    norm_res,
-    red_res,
-    run_events,
-)
+from coindwhile.resumption import drive, eval_res, norm_res, run_events
 from coindwhile.syntax import (
     TT,
     Assign,
@@ -40,7 +33,7 @@ from coindwhile.syntax import (
     While,
     is_pure,
 )
-from coindwhile.trace import eval_trace, norm, red, take
+from coindwhile.trace import eval_trace, norm, take
 
 EMPTY = State.empty()
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -66,26 +59,7 @@ def left_chain(n):
     return stmt
 
 
-def spine_depth(stmt):
-    depth = 0
-    while type(stmt) is Seq:
-        stmt, depth = stmt.first, depth + 1
-    return depth, stmt
-
-
 class TestDeepSeqSpine:
-    def test_red_does_not_recurse(self):
-        stmt, s = red(left_chain(5000), EMPTY)
-        assert s == EMPTY.upd(0, 1)
-        assert spine_depth(stmt) == (4999, Skip())
-        stmt, s = red(stmt, s)
-        assert s == EMPTY.upd(0, 2) and spine_depth(stmt) == (4998, Skip())
-
-    def test_red_res_does_not_recurse(self):
-        c = red_res(left_chain(5000), EMPTY)
-        assert type(c) is LDelay and c.state == EMPTY.upd(0, 1)
-        assert spine_depth(c.stmt) == (4999, Skip())
-
     def test_interpreters_run_a_deep_chain(self):
         stmt = left_chain(5000)
         assert is_pure(stmt)
@@ -330,6 +304,21 @@ def test_calls_per_observation_do_not_grow_with_nesting(observe, interp, shallow
     shallow = calls_per_observation(observe(interp, shallow))
     deep = calls_per_observation(observe(interp, deep))
     assert deep <= 1.25 * shallow, (shallow, deep)
+
+
+@pytest.mark.parametrize(
+    "observe, small, big",
+    [
+        pytest.param(observe_res, norm_res, eval_res, id="res"),
+        pytest.param(observe_trace, norm, eval_trace, id="trace"),
+    ],
+)
+def test_a_small_step_costs_no_more_calls_than_a_big_one(observe, small, big):
+    # a cached small step returns its raw observation itself, so a step is
+    # _resume and the step, as a big step is its compiled code
+    small = calls_per_observation(observe(small, NESTED))
+    big = calls_per_observation(observe(big, NESTED))
+    assert small <= big + 0.05, (small, big)
 
 
 IF_FIRST = "while tt do if x = 0 then y := 2 else y := 3 fi ; x := 0 od"

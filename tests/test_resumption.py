@@ -12,17 +12,12 @@ import pytest
 from coindwhile.checks import Distinguished, EquivalentUpToBounds, trace_eq
 from coindwhile.parse import parse
 from coindwhile.resumption import (
-    LDelay,
-    LIn,
-    LOut,
-    LRet,
     Res,
     bot,
     echo,
     echo_div,
     eval_res,
     norm_res,
-    red_res,
     rep,
     rep_fast,
     run_events,
@@ -41,7 +36,7 @@ from coindwhile.syntax import (
 from coindwhile.trace import Trace, TracePrefix, eval_trace, norm, take
 
 from gen import gen_script, gen_state, gen_stmt, gen_while_stmt
-from paper import denote, loop_res, loopseq_res, seque_res
+from paper import denote, loop_res, loopseq_res, norm_ref, red_ref, seque_res
 
 EMPTY = State.empty()
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -166,60 +161,70 @@ class TestSequeLoop:
 class TestPaperOracle:
     def test_both_interpreters_agree_with_the_combinators(self):
         # denote is the paper's big-step semantics, built from seque_res and
-        # loop_res, and it evaluates expressions with aexp/bexp; eval_res and
-        # norm_res share the expression compiler, so this test, not their
-        # comparison with each other, checks it under both. 400 programs,
-        # 60% of them generated with I/O allowed, at fuel 200.
+        # loop_res, and norm_ref its small-step semantics, red_ref iterated;
+        # both evaluate expressions with aexp/bexp. eval_res and norm_res
+        # share the expression compiler, so this test, not their comparison
+        # with each other, checks it under both. denote against norm_ref is
+        # the paper's theorem that big-step equals small-step, on its own
+        # definitions. 400 programs, 60% of them generated with I/O allowed,
+        # at fuel 200, delay states included.
         rng = random.Random(2011)
         for i in range(400):
             stmt = gen_stmt(rng, 6, io=i % 5 < 3)
             s = gen_state(rng)
             script = gen_script(rng)
-            want = observe_with_states(denote(stmt, s), script, 200)
-            for interp in (eval_res, norm_res):
+            big = observe_with_states(denote(stmt, s), script, 200)
+            small = observe_with_states(norm_ref(stmt, s), script, 200)
+            assert big == small, (stmt, s, script)
+            for interp, want in ((eval_res, big), (norm_res, small)):
                 got = observe_with_states(interp(stmt, s), script, 200)
                 assert got == want, (interp.__name__, stmt, s, script)
             if is_pure(stmt):
-                want = take(Trace(denote(stmt, s)), 200)
-                for interp in (eval_trace, norm):
+                big = take(Trace(denote(stmt, s)), 200)
+                small = take(Trace(norm_ref(stmt, s)), 200)
+                assert big == small, (stmt, s)
+                for interp, want in ((eval_trace, big), (norm, small)):
                     assert take(interp(stmt, s), 200) == want, (interp.__name__, stmt, s)
 
 
 class TestSmallStep:
+    # goldens of the paper's labelled one-step reduction, red_ref in
+    # tests/paper.py, which the interpreters are tested against
+
     def test_skip(self):
-        assert red_res(Skip(), EMPTY) == LRet(EMPTY)
+        assert red_ref(Skip(), EMPTY) == ("ret", EMPTY)
 
     def test_input(self):
-        c = red_res(Input(0), EMPTY)
-        assert isinstance(c, LIn) and c.stmt == Skip()
-        assert c.update(9) == EMPTY.upd(0, 9)
+        c = red_ref(Input(0), EMPTY)
+        assert c[:2] == ("in", Skip())
+        assert c[2](9) == EMPTY.upd(0, 9)
 
     def test_seq_output(self):
         q = ast("x := 1")
-        c = red_res(Seq(Output(NumLit(5)), q), EMPTY)
-        assert c == LOut(5, Seq(Skip(), q), EMPTY)
+        c = red_ref(Seq(Output(NumLit(5)), q), EMPTY)
+        assert c == ("out", 5, Seq(Skip(), q), EMPTY)
 
     def test_assignment_is_a_delay_step(self):
-        c = red_res(ast("x := 2"), EMPTY)
-        assert c == LDelay(Skip(), EMPTY.upd(0, 2))
+        c = red_ref(ast("x := 2"), EMPTY)
+        assert c == ("delay", Skip(), EMPTY.upd(0, 2))
 
     def test_while_under_a_context(self):
         stmt = ast("while x <= 0 do x := 1 od ; y := 2")
         w, rest = stmt.first, stmt.second
-        assert red_res(stmt, EMPTY) == LDelay(Seq(Seq(w.body, w), rest), EMPTY)
+        assert red_ref(stmt, EMPTY) == ("delay", Seq(Seq(w.body, w), rest), EMPTY)
         s = EMPTY.upd(0, 1)
-        assert red_res(stmt, s) == LDelay(Seq(Skip(), rest), s)
+        assert red_ref(stmt, s) == ("delay", Seq(Skip(), rest), s)
 
     def test_input_under_a_context(self):
         io, mid, last = left_nested("input x ; y := 1 ; output y")
-        c = red_res(Seq(Seq(io, mid), last), EMPTY)
-        assert type(c) is LIn and c.stmt == Seq(Seq(Skip(), mid), last)
-        assert c.update(4) == EMPTY.upd(0, 4)
+        c = red_ref(Seq(Seq(io, mid), last), EMPTY)
+        assert c[:2] == ("in", Seq(Seq(Skip(), mid), last))
+        assert c[2](4) == EMPTY.upd(0, 4)
 
     def test_output_under_a_context(self):
         io, mid, last = left_nested("output 5 ; y := 1 ; output y")
-        c = red_res(Seq(Seq(io, mid), last), EMPTY)
-        assert c == LOut(5, Seq(Seq(Skip(), mid), last), EMPTY)
+        c = red_ref(Seq(Seq(io, mid), last), EMPTY)
+        assert c == ("out", 5, Seq(Seq(Skip(), mid), last), EMPTY)
 
     def test_norm_skip(self):
         assert norm_res(Skip(), EMPTY).step() == ("ret", EMPTY)

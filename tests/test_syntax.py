@@ -36,9 +36,7 @@ from coindwhile.syntax import (
     compile_aexp,
     compile_bexp,
     is_pure,
-    lkp,
     map_variables,
-    upd,
     variables,
     wrap,
 )
@@ -52,24 +50,24 @@ EMPTY = State.empty()
 
 class TestState:
     def test_lookup_default(self):
-        assert lkp(0, EMPTY) == 0
+        assert EMPTY.lkp(0) == 0
 
     def test_read_after_write(self):
-        assert lkp(0, upd(0, 17, EMPTY)) == 17
+        assert EMPTY.upd(0, 17).lkp(0) == 17
 
     def test_frame_condition(self):
-        assert lkp(1, upd(0, 17, EMPTY)) == 0
+        assert EMPTY.upd(0, 17).lkp(1) == 0
 
     def test_default_write_is_identity(self):
-        assert upd(0, 0, EMPTY) == EMPTY
+        assert EMPTY.upd(0, 0) == EMPTY
 
     def test_last_write_wins(self):
-        s = upd(1, 9, EMPTY)
-        assert upd(0, 5, upd(0, 3, s)) == upd(0, 5, s)
+        s = EMPTY.upd(1, 9)
+        assert s.upd(0, 3).upd(0, 5) == s.upd(0, 5)
 
     def test_canonical_no_default_bindings(self):
-        s = upd(0, 5, upd(1, 7, EMPTY))
-        s = upd(0, 0, s)
+        s = EMPTY.upd(1, 7).upd(0, 5)
+        s = s.upd(0, 0)
         assert s.items() == ((1, 7),)
 
     def test_writing_zero_at_the_end_trims_it(self):
@@ -133,8 +131,8 @@ class TestState:
             assert hash(a) == hash(b)
 
     def test_extensional_equality_and_hash(self):
-        a = upd(0, 1, upd(1, 2, EMPTY))
-        b = upd(1, 2, upd(0, 1, EMPTY))
+        a = EMPTY.upd(1, 2).upd(0, 1)
+        b = EMPTY.upd(0, 1).upd(1, 2)
         assert a == b and hash(a) == hash(b)
 
     @given(

@@ -23,12 +23,11 @@ from coindwhile.trace import (
     TracePrefix,
     eval_trace,
     norm,
-    red,
     take,
 )
 
 from gen import gen_state, gen_stmt, gen_while_stmt
-from paper import delay, loop, loopseq, nil, seque
+from paper import delay, loop, loopseq, nil, red_ref, seque
 
 EMPTY = State.empty()
 
@@ -164,25 +163,29 @@ class TestLoop:
 
 
 class TestRed:
+    # goldens of the paper's one-step reduction, red_ref in tests/paper.py,
+    # which the interpreters are tested against
+
     def test_skip_is_terminal(self):
-        assert red(Skip(), EMPTY) is None
+        assert red_ref(Skip(), EMPTY) == ("ret", EMPTY)
 
     def test_assignment_reduces_to_skip(self):
-        assert red(ast("x := 2 + 3"), EMPTY) == (Skip(), EMPTY.upd(0, 5))
+        assert red_ref(ast("x := 2 + 3"), EMPTY) == ("delay", Skip(), EMPTY.upd(0, 5))
 
     def test_while_unrolls_once(self):
         w = While(TrueLit(), Skip())
-        assert red(w, EMPTY) == (Seq(Skip(), w), EMPTY)
+        assert red_ref(w, EMPTY) == ("delay", Seq(Skip(), w), EMPTY)
 
     def test_seq_falls_through_terminal_first_component(self):
-        assert red(Seq(Skip(), ast("x := 1")), EMPTY) == (Skip(), EMPTY.upd(0, 1))
+        assert red_ref(Seq(Skip(), ast("x := 1")), EMPTY) == \
+            ("delay", Skip(), EMPTY.upd(0, 1))
 
     def test_while_under_a_context(self):
         stmt = ast("while x <= 0 do x := 1 od ; y := 2")
         w, rest = stmt.first, stmt.second
-        assert red(stmt, EMPTY) == (Seq(Seq(w.body, w), rest), EMPTY)
+        assert red_ref(stmt, EMPTY) == ("delay", Seq(Seq(w.body, w), rest), EMPTY)
         s = EMPTY.upd(0, 1)
-        assert red(stmt, s) == (Seq(Skip(), rest), s)
+        assert red_ref(stmt, s) == ("delay", Seq(Skip(), rest), s)
 
     def test_norm_of_skip(self):
         assert norm(Skip(), EMPTY).step() == (EMPTY, None)
