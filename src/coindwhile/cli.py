@@ -108,13 +108,12 @@ class _Render:
 
     def state(self, s: State, form: str = "") -> str:
         """A state line, or the state in form, a %-format of its bindings."""
-        vals = s.values
-        order = self._orders.get(len(vals))
+        order = self._orders.get(len(s))
         if order is None:
-            order = self._order(len(vals))
+            order = self._order(len(s))
         pre = self._pre
-        return (form or self._state) % ", ".join([pre[i] + str(vals[i])
-                                                  for i in order if vals[i]])
+        return (form or self._state) % ", ".join([pre[i] + str(s[i])
+                                                  for i in order if s[i]])
 
     def event(self, ev: tuple) -> str:
         """An event line; also a witness step such as ("in",) or ("still",)."""

@@ -18,6 +18,9 @@ once and memoize nothing.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from functools import partial
+from itertools import takewhile
+from operator import is_not
 
 from .resumption import Res, _raw, eval_res, norm_res
 from .syntax import Record, State, Stmt, is_pure
@@ -28,6 +31,10 @@ class ImpureProgramError(ValueError):
 
 
 Observation = tuple  # (State, Trace | None)
+
+# s is not None, as a call into C: comparing a State with None, as
+# iter(f, None) does, would call State.__eq__, which is Python
+_is_state = partial(is_not, None)
 
 
 class Trace:
@@ -86,11 +93,10 @@ def take(t: Trace, fuel: int) -> TracePrefix:
     """
     seen = walk(t, fuel)
     del t  # as in walk: the head must not outlive the call
-    states = list(seen)
-    ended = states[-1] is not None
-    if not ended:
-        states.pop()
-    return TracePrefix(tuple(states), ended)
+    # the tuple is built once, straight from walk, up to a None if the fuel
+    # ran out; walk has returned, and its frame is gone, iff t ended
+    states = tuple(takewhile(_is_state, seen))
+    return TracePrefix(states, seen.gi_frame is None)
 
 
 def _pure(stmt: Stmt) -> Stmt:

@@ -135,6 +135,33 @@ class TestState:
         b = EMPTY.upd(0, 1).upd(1, 2)
         assert a == b and hash(a) == hash(b)
 
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickles_to_an_equal_state(self, protocol):
+        for s in (EMPTY, EMPTY.upd(0, 5), EMPTY.upd(3, -7).upd(1, 2**63 - 1)):
+            t = pickle.loads(pickle.dumps(s, protocol))
+            assert type(t) is State and t == s and t.items() == s.items()
+
+    def test_never_equals_a_plain_tuple(self):
+        s = EMPTY.upd(0, 5)
+        assert s.values == (5,)
+        assert (s == (5,)) is False and ((5,) == s) is False
+        assert (s != (5,)) is True and ((5,) != s) is True
+        assert (EMPTY == ()) is False and (EMPTY != ()) is True
+        assert (s != State({0: 5})) is False
+
+    def test_hash_and_values_are_the_value_tuple(self):
+        s = EMPTY.upd(3, -7).upd(1, 2)
+        assert type(s.values) is tuple and s.values == (0, 2, 0, -7)
+        assert hash(s) == hash(s.values)
+        assert EMPTY.values == () and hash(EMPTY) == hash(())
+
+    def test_attributes_cannot_be_assigned(self):
+        s = EMPTY.upd(0, 5)
+        with pytest.raises(AttributeError):
+            s.extra = 1
+        with pytest.raises(AttributeError):
+            s._vals = (6,)
+
     @given(
         st.lists(
             st.tuples(st.integers(0, 5), st.integers(-100, 100)),
