@@ -35,7 +35,6 @@ _FROM_CHECKS = frozenset({
     "ResponsiveUpToBounds",
     "delay_bisim",
     "responsive",
-    "strip_delays",
     "trace_eq",
 })
 
@@ -78,7 +77,6 @@ __all__ = [
     "rep_fast",
     "responsive",
     "run_events",
-    "strip_delays",
     "take",
     "trace_eq",
     "wrap",

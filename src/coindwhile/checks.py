@@ -10,14 +10,16 @@ only mean "no counterexample within the bounds".
 delay_bisim and responsive share one search, _search: a depth-first walk
 on an explicit stack that counts one node per visit, so the depth budget
 costs no recursion. delay_bisim and replay_witness share one rule for
-matching the heads of a pair, _pair_step.
+matching the heads of a pair, _pair_step. They step each resumption as
+a raw pair (fn, arg) rooted at (_raw, r) (see ``resumption._raw``), and
+make no memo cell; a node of delay_bisim is a pair of such pairs.
 """
 
 from __future__ import annotations
 
 from functools import partial
 
-from .resumption import Res, _memo, _raw
+from .resumption import Res, _raw
 from .syntax import Record
 from .trace import Trace
 
@@ -85,27 +87,20 @@ class BisimConfig(Record):
 # delay stripping
 
 
-def strip_delays(r: Res, budget: int) -> tuple:
-    """Peel up to budget leading delays and return the head underneath:
-    ("ret", state) | ("in", f) | ("out", v, rest) | ("still", res), where
-    "still" means the budget ran out with the resumption still delaying
-    (res starts with a delay).
+def _strip(fn, arg, budget: int) -> tuple:
+    """The first raw observation of the pair (fn, arg) that is not a delay.
+    If more than budget delays lead, it is instead the delay after the
+    first budget of them, whose (obs[1], obs[2]) is the pair after it.
 
-    The delays are stepped raw (see ``resumption._raw``) and none is
-    memoized, so memory stays flat however long the stretch. "still" hands
-    back the cell at the budget already forced: no observation is computed
-    twice.
+    Nothing is memoized, so memory stays flat however long the stretch,
+    and no observation is computed twice.
     """
-    fn, arg = _raw, r
-    n = 0
-    while True:
+    for _ in range(budget):
         obs = fn(arg)
         if obs[0] != "delay":
-            return _memo(obs)
-        if n >= budget:
-            return ("still", Res._of(_memo(obs)))
-        n += 1
+            return obs
         fn, arg = obs[1], obs[2]
+    return fn(arg)
 
 
 # ---------------------------------------------------------------------------
@@ -161,32 +156,34 @@ def _head_desc(head: tuple):
 def _pair_step(delay_budget: int, sample: tuple, pair: tuple, path: list):
     """Resolve the heads of a pair of resumptions and match them.
 
-    Delays are stripped on both sides. When both sides are still delaying
-    after a full strip, one synchronized delay pair is consumed and stripping
-    restarts, at most delay_budget times. Returns the ordered (step, pair)
-    successors, one per sample value for two inputs, one for equal outputs
-    and none for equal final states; otherwise the verdict at path,
-    Distinguished or BudgetExhausted("delay").
+    Each side is stripped of up to D = delay_budget delays. When both are
+    still delaying, they sync: each moves past the delay after its first
+    D, a window of D + 1 delays, and stripping restarts, at most D times.
+    So a head under p delays is reached after p // (D + 1) syncs, and the
+    two heads are matched iff both sides reach theirs after the same
+    number, at most D: up to (D + 1)^2 - 1 delays per side. Returns the
+    ordered (step, pair) successors, one per sample value for two inputs,
+    one for equal outputs and none for equal final states; otherwise the
+    verdict at path, Distinguished or BudgetExhausted("delay").
     """
-    r0, r1 = pair
+    (f0, a0), (f1, a1) = pair
     syncs = 0
     while True:
-        h0 = strip_delays(r0, delay_budget)
-        h1 = strip_delays(r1, delay_budget)
-        if h0[0] != "still" and h1[0] != "still":
+        h0 = _strip(f0, a0, delay_budget)
+        h1 = _strip(f1, a1, delay_budget)
+        if h0[0] != "delay" and h1[0] != "delay":
             break
         if h0[0] != h1[0] or syncs >= delay_budget:
             return BudgetExhausted("delay", tuple(path))
-        r0 = h0[1].step()[1]
-        r1 = h1[1].step()[1]
+        f0, a0, f1, a1 = h0[1], h0[2], h1[1], h1[2]
         syncs += 1
     if h0[0] == h1[0] == "in":
-        f0, f1 = h0[1], h1[1]
-        return [(("in", v), (f0(v), f1(v))) for v in sample]
+        f0, a0, f1, a1 = h0[1], h0[2], h1[1], h1[2]
+        return [(("in", v), ((f0, (a0, v)), (f1, (a1, v)))) for v in sample]
     if h0[0] != h1[0] or h0[1] != h1[1]:
         return Distinguished((*path, ("mismatch", _head_desc(h0), _head_desc(h1))))
     if h0[0] == "out":
-        return [(("out", h0[1]), (h0[2], h1[2]))]
+        return [(("out", h0[1]), ((h0[2], h0[3]), (h1[2], h1[3])))]
     return []  # equal final states
 
 
@@ -199,7 +196,8 @@ def delay_bisim(r0: Res, r1: Res, cfg: BisimConfig = BisimConfig()) -> Verdict:
     most NODE_BUDGET pairs are explored in all.
     """
     expand = partial(_pair_step, cfg.delay_budget, cfg.input_sample)
-    return _search((r0, r1), expand, cfg.depth_budget, EquivalentUpToBounds())
+    return _search(((_raw, r0), (_raw, r1)), expand, cfg.depth_budget,
+                   EquivalentUpToBounds())
 
 
 def replay_witness(r0: Res, r1: Res, cfg: BisimConfig, witness: tuple) -> bool:
@@ -209,7 +207,7 @@ def replay_witness(r0: Res, r1: Res, cfg: BisimConfig, witness: tuple) -> bool:
     probed with that step's value alone, so an input value need not lie in
     cfg.input_sample.
     """
-    pair = (r0, r1)
+    pair = ((_raw, r0), (_raw, r1))
     for step in witness[:-1]:
         succ = _pair_step(cfg.delay_budget, step[1:], pair, [])
         if type(succ) is not list or len(succ) != 1 or succ[0][0] != step:
@@ -237,17 +235,17 @@ def responsive(
         raise ValueError("input sample must be nonempty")
     sample = tuple(input_sample)
 
-    def expand(r, path):
-        head = strip_delays(r, latency_budget)
-        if head[0] == "still":
+    def expand(node, path):
+        head = _strip(*node, latency_budget)
+        if head[0] == "delay":
             return LatencyExceeded(tuple(path))
         if head[0] == "in":
-            return [(("in", v), head[1](v)) for v in sample]
+            return [(("in", v), (head[1], (head[2], v))) for v in sample]
         if head[0] == "out":
-            return [(("out", head[1]), head[2])]
+            return [(("out", head[1]), (head[2], head[3]))]
         return []  # terminated
 
-    return _search(r, expand, depth_budget, ResponsiveUpToBounds())
+    return _search((_raw, r), expand, depth_budget, ResponsiveUpToBounds())
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,10 @@ observation in raw form, each rest a function and its argument:
 ``("out", value, fn, arg)`` and ``("delay", fn, arg, state)``. An input
 ``("in", fn, arg)`` that reads v leaves the rest ``fn`` with the argument
 ``(arg, v)``. Only ``step()`` memoizes: it puts the rest in a new cell, or
-for an input gives a continuation that makes one per call. A run that
-looks at each observation once (``drive``, ``trace.walk``,
-``checks.trace_eq`` and ``checks.strip_delays``) calls the pairs itself
-and makes no cell; ``_raw(r)`` gives any cell's observation in raw form,
-forced or not.
+for an input gives a continuation that makes one per call. Every run the
+library makes (``drive``, ``trace.walk`` and the checkers in ``checks``)
+calls the pairs itself and makes no cell; ``_raw(r)`` gives any cell's
+observation in raw form, forced or not.
 
 The big-step interpreter ``eval_res`` runs code made by ``_compile`` when a
 statement is first entered, so a run compiles only what it reaches; each

@@ -18,12 +18,12 @@ from coindwhile.checks import (
     delay_bisim,
     replay_witness,
     responsive,
-    strip_delays,
     trace_eq,
 )
 from coindwhile.parse import parse
 from coindwhile.resumption import (
     Res,
+    _raw,
     bot,
     echo,
     echo_div,
@@ -36,6 +36,7 @@ from coindwhile.syntax import Assign, NumLit, Skip, State
 from coindwhile.trace import eval_trace, norm
 
 from gen import gen_state, gen_stmt
+from test_resumption import cells_built
 
 EMPTY = State.empty()
 
@@ -45,26 +46,31 @@ def ast(src):
     return stmt
 
 
+def strip(r, budget):
+    """The head of r under at most budget delays, as the checkers strip it."""
+    return checks._strip(_raw, r, budget)
+
+
 class TestStripDelays:
     # a head under n leading delays needs a budget of n: budget n - 1
-    # gives "still"
+    # gives the delay after the first n - 1
 
     def test_already_resolved(self):
-        assert strip_delays(Res.ret(EMPTY), 0) == ("ret", EMPTY)
-        assert strip_delays(Res.ret(EMPTY), 5) == ("ret", EMPTY)
+        assert strip(Res.ret(EMPTY), 0) == ("ret", EMPTY)
+        assert strip(Res.ret(EMPTY), 5) == ("ret", EMPTY)
 
     def test_rep_has_two_leading_delays(self):
-        assert strip_delays(rep(4), 1)[0] == "still"
-        assert strip_delays(rep(4), 2)[:2] == ("out", 4)
+        assert strip(rep(4), 1)[0] == "delay"
+        assert strip(rep(4), 2)[:2] == ("out", 4)
 
     def test_all_delays_exhausts_budget(self):
         for budget in (1, 3, 8):
-            head = strip_delays(bot(), budget)
-            assert head[0] == "still"
-            # what remains still starts with a delay
-            assert head[1].step()[0] == "delay"
+            head = strip(bot(), budget)
+            assert head[0] == "delay"
+            # what follows it still starts with a delay
+            assert head[1](head[2])[0] == "delay"
 
-    def test_the_cell_at_the_budget_is_handed_back_forced(self):
+    def test_the_delay_at_the_budget_is_handed_back_computed(self):
         calls = 0
 
         def tick(n):
@@ -72,11 +78,11 @@ class TestStripDelays:
             calls += 1
             return ("delay", tick, n + 1, n)
 
-        head = strip_delays(Res(tick, 0), 5)
-        assert head[0] == "still" and calls == 6
-        obs = head[1].step()
-        assert obs[2] == 5 and calls == 6  # no observation is computed twice
-        assert obs[1].step()[2] == 6 and calls == 7
+        head = checks._strip(tick, 0, 5)
+        # the sixth delay, and the pair after it: no observation is
+        # computed twice
+        assert head == ("delay", tick, 6, 5) and calls == 6
+        assert head[1](head[2])[3] == 6 and calls == 7
 
 
 def peak_bytes(run):
@@ -105,18 +111,18 @@ class TestFlatMemory:
     ])
     def test_a_long_silent_stretch_is_stripped_in_flat_memory(self, make):
         r = make()
-        peak, head = peak_bytes(lambda: strip_delays(r, 10**5))
-        assert head[0] == "still"
+        peak, head = peak_bytes(lambda: strip(r, 10**5))
+        assert head[0] == "delay"
         assert peak < FLAT, peak
 
     @pytest.mark.parametrize("interp", [eval_res, norm_res])
     def test_a_long_stretch_is_stripped_to_its_end_in_flat_memory(self, interp):
         # 1 + 50,000 guard tests + 49,999 increments: 10^5 delays, then ret
         stmt = ast("x := 0 ; while x <= 49998 do x := x + 1 od")
-        peak, head = peak_bytes(lambda: strip_delays(interp(stmt, EMPTY), 10**5 - 1))
-        assert head[0] == "still"
+        peak, head = peak_bytes(lambda: strip(interp(stmt, EMPTY), 10**5 - 1))
+        assert head[0] == "delay"
         assert peak < FLAT, peak
-        peak, head = peak_bytes(lambda: strip_delays(interp(stmt, EMPTY), 10**5))
+        peak, head = peak_bytes(lambda: strip(interp(stmt, EMPTY), 10**5))
         assert head == ("ret", EMPTY.upd(0, 49999))
         assert peak < FLAT, peak
 
@@ -127,7 +133,8 @@ class TestFlatMemory:
         assert peak < FLAT, peak
 
     def test_bisim_syncs_long_stretches_in_flat_memory(self):
-        # D syncs of D-delay strips: about D^2 steps per side
+        # D syncs, each skipping a window of D + 1 delays, then one more
+        # strip: (D + 1)^2 delays per side, none of them kept
         r0, r1 = eval_res(ast(LOOP), EMPTY), norm_res(ast(LOOP), EMPTY)
         peak, verdict = peak_bytes(
             lambda: delay_bisim(r0, r1, BisimConfig(delay_budget=200)))
@@ -248,6 +255,62 @@ class TestDelayBisim:
             BisimConfig(input_sample=())
 
 
+def delays(p):
+    """p delays, then ret."""
+    r = Res.ret(EMPTY)
+    for _ in range(p):
+        r = Res.delay(r)
+    return r
+
+
+class TestDelayWindow:
+    # each side is stripped of up to D delays, and each sync skips a
+    # window of D + 1, at most D times: a head under p delays is reached
+    # after p // (D + 1) syncs, so up to (D + 1)^2 - 1 delays per side
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_heads_match_iff_reached_after_the_same_syncs(self, d):
+        cfg = BisimConfig(delay_budget=d, depth_budget=4, input_sample=(0,))
+        window = d + 1
+        for p0 in range(window**2 + 2):
+            for p1 in range(window**2 + 2):
+                verdict = delay_bisim(delays(p0), delays(p1), cfg)
+                if p0 // window == p1 // window <= d:
+                    assert verdict == EquivalentUpToBounds(), (p0, p1)
+                else:
+                    assert verdict == BudgetExhausted("delay"), (p0, p1)
+
+
+class TestNoCells:
+    # the search steps raw (fn, arg) pairs, as drive does, so a query on
+    # the interpreters' resumptions makes no memo cell
+
+    @pytest.mark.parametrize("interp", [eval_res, norm_res])
+    def test_the_checkers_build_no_cells(self, interp):
+        echo = interp(ast("while tt do input x ; output x od"), EMPTY)
+        padded = interp(ast("while tt do input x ; output x ; x := 0 od"), EMPTY)
+        off = interp(ast("while tt do input x ; output x + 1 od"), EMPTY)
+        loop = interp(ast(LOOP), EMPTY)
+        cfg = BisimConfig(delay_budget=8, depth_budget=12, input_sample=(0, 1))
+        got = []
+        runs = [
+            lambda: delay_bisim(echo, padded, cfg),
+            lambda: delay_bisim(echo, off, cfg),
+            lambda: delay_bisim(loop, loop, cfg),
+            lambda: responsive(echo, 8, 12, (0, 1)),
+            lambda: responsive(loop, 8, 12, (0, 1)),
+        ]
+        for run in runs:
+            assert cells_built(lambda: got.append(run())) == 0
+        witness = (("in", 0), ("mismatch", ("out", 0), ("out", 1)))
+        assert got == [
+            EquivalentUpToBounds(), Distinguished(witness), BudgetExhausted("delay"),
+            ResponsiveUpToBounds(), LatencyExceeded(()),
+        ]
+        assert cells_built(lambda: got.append(replay_witness(echo, off, cfg, witness))) == 0
+        assert got[-1] is True
+
+
 class TestResponsive:
     def test_echo_is_responsive(self):
         assert responsive(echo(EMPTY), 2, 50, (0, 1)) == ResponsiveUpToBounds()
@@ -259,7 +322,7 @@ class TestResponsive:
 
     def test_rep_is_responsive(self):
         # rep emits within exactly two delays each cycle
-        assert strip_delays(rep(3), 2)[0] == "out"
+        assert strip(rep(3), 2)[0] == "out"
         assert responsive(rep(3), 2, 50, (0,)) == ResponsiveUpToBounds()
 
     def test_bot_is_not_responsive(self):

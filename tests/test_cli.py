@@ -639,15 +639,15 @@ class TestPublicSurface:
         assert coindwhile._FROM_CHECKS <= set(coindwhile.__all__)
 
     def test_the_one_step_wrappers_are_gone(self):
-        # the paper's red is tests/paper.py's red_ref; strip_delays returns
-        # its head tuple
+        # the paper's red is tests/paper.py's red_ref; the checkers strip
+        # delays with the private checks._strip, on raw observations
         import coindwhile
 
-        for name in ("red", "red_res", "StripResult"):
+        for name in ("red", "red_res", "StripResult", "strip_delays"):
             assert name not in coindwhile.__all__
             assert not hasattr(coindwhile, name), name
         assert not hasattr(trace, "red") and not hasattr(resumption, "red_res")
-        assert not hasattr(checks, "StripResult")
+        assert not hasattr(checks, "StripResult") and not hasattr(checks, "strip_delays")
 
 
 class TestInteractive:
