@@ -12,16 +12,17 @@ on an explicit stack that counts one node per visit, so the depth budget
 costs no recursion. delay_bisim and replay_witness share one rule for
 matching the heads of a pair, _pair_step. They step each resumption as
 a raw pair (fn, arg) rooted at (_raw, r) (see ``resumption._raw``), and
-make no memo cell; a node of delay_bisim is a pair of such pairs.
+make no ``Res``; a node of delay_bisim is a pair of such pairs.
 """
 
 from __future__ import annotations
 
 from functools import partial
+from operator import index
 
 from .resumption import Res, _raw
 from .syntax import Record
-from .trace import Trace
+from .trace import Trace, _final
 
 
 class EquivalentUpToBounds(Record):
@@ -69,18 +70,26 @@ ResponsiveVerdict = ResponsiveUpToBounds | LatencyExceeded | BudgetExhausted
 NODE_BUDGET = 100_000
 
 
+def _checked(input_sample, *budgets: int) -> tuple:
+    """The sample as a tuple of its values in order, each once (a repeated
+    value would only explore the same branch again), then the budgets as
+    ints, each of which must be positive."""
+    budgets = tuple(map(index, budgets))
+    if min(budgets) <= 0:
+        raise ValueError("budgets must be positive")
+    sample = tuple(dict.fromkeys(input_sample))
+    if not sample:
+        raise ValueError("input sample must be nonempty")
+    return (sample, *budgets)
+
+
 class BisimConfig(Record):
     __slots__ = __match_args__ = ("delay_budget", "depth_budget", "input_sample")
 
     def __init__(self, delay_budget: int = 16, depth_budget: int = 64,
                  input_sample: tuple = (0, 1, -1)):
-        if delay_budget <= 0 or depth_budget <= 0:
-            raise ValueError("budgets must be positive")
-        if not input_sample:
-            raise ValueError("input sample must be nonempty")
-        self.delay_budget = delay_budget
-        self.depth_budget = depth_budget
-        self.input_sample = input_sample
+        self.input_sample, self.delay_budget, self.depth_budget = _checked(
+            input_sample, delay_budget, depth_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +101,8 @@ def _strip(fn, arg, budget: int) -> tuple:
     If more than budget delays lead, it is instead the delay after the
     first budget of them, whose (obs[1], obs[2]) is the pair after it.
 
-    Nothing is memoized, so memory stays flat however long the stretch,
-    and no observation is computed twice.
+    Nothing is kept, so memory stays flat however long the stretch, and
+    no observation is computed twice.
     """
     for _ in range(budget):
         obs = fn(arg)
@@ -229,11 +238,8 @@ def responsive(
     """Bounded check that r always performs input or output within
     latency_budget delays unless it terminates, exploring at most
     NODE_BUDGET resumptions."""
-    if latency_budget <= 0 or depth_budget <= 0:
-        raise ValueError("budgets must be positive")
-    if not input_sample:
-        raise ValueError("input sample must be nonempty")
-    sample = tuple(input_sample)
+    sample, latency_budget, depth_budget = _checked(
+        input_sample, latency_budget, depth_budget)
 
     def expand(node, path):
         head = _strip(*node, latency_budget)
@@ -261,11 +267,10 @@ def trace_eq(t0: Trace, t1: Trace, fuel: int) -> Verdict:
     """
 
     def describe(obs):
-        return ("delay", obs[3]) if obs[0] == "delay" else ("nil", obs[1])
+        return ("delay", obs[3]) if obs[0] == "delay" else ("nil", _final(obs))
 
-    # step raw observations, as trace.walk does: nothing is memoized
+    # step raw observations, as trace.walk does: no Res is made
     f0, a0, f1, a1 = _raw, t0._res, _raw, t1._res
-    del t0, t1
     for i in range(fuel + 1):
         o0 = f0(a0)
         o1 = f1(a1)
@@ -273,7 +278,7 @@ def trace_eq(t0: Trace, t1: Trace, fuel: int) -> Verdict:
             if o1[0] == "delay" and o0[3] == o1[3]:
                 f0, a0, f1, a1 = o0[1], o0[2], o1[1], o1[2]
                 continue
-        elif o1[0] != "delay" and o0[1] == o1[1]:
+        elif o1[0] != "delay" and _final(o0) == _final(o1):
             return EquivalentUpToBounds()
         return Distinguished((i, describe(o0), describe(o1)))
     return EquivalentUpToBounds()

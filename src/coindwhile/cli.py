@@ -203,7 +203,6 @@ def _run_events(stmt, names, init, args) -> int:
     event, lines = _Render(names, args.json).event, []
     # a person typing the inputs must see each line before the next prompt
     chunk = 1 if args.interactive else CHUNK_LINES
-    # the head is not kept: memoized tails would otherwise retain the prefix
     for ev in resumption.drive(_res_for(stmt, init, args.mode),
                                _input_source(args), args.fuel):
         lines.append(event(ev))

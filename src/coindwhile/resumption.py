@@ -10,22 +10,26 @@ emits an output value (``out``), or takes a silent step (``delay``).
     ("out", value, rest)
     ("delay", rest, state)      state: where the silent step was taken
 
-computed on demand and memoized, so infinite resumptions are observed
-incrementally in bounded time per step. The interpreters record in each
-delay the state the step starts from; the hand-built stock resumptions have
-no state and record None. A trace is a resumption that never does input or
-output: ``trace.Trace`` reads ``("delay", rest, s)`` as ``(s, rest)`` and
+computed on demand, so infinite resumptions are observed incrementally in
+bounded time per step. The interpreters record in each delay the state the
+step starts from; the hand-built stock resumptions have no state and record
+None. A trace is a resumption that never does input or output:
+``trace.Trace`` reads ``("delay", rest, s)`` as ``(s, rest)`` and
 ``("ret", s)`` as ``(s, None)``.
 
-A resumption is a memo cell ``Res(fn, arg)``, and ``fn(arg)`` is its
+A resumption is a suspension ``Res(fn, arg)``, and ``fn(arg)`` is its
 observation in raw form, each rest a function and its argument:
 ``("out", value, fn, arg)`` and ``("delay", fn, arg, state)``. An input
 ``("in", fn, arg)`` that reads v leaves the rest ``fn`` with the argument
-``(arg, v)``. Only ``step()`` memoizes: it puts the rest in a new cell, or
-for an input gives a continuation that makes one per call. Every run the
-library makes (``drive``, ``trace.walk`` and the checkers in ``checks``)
-calls the pairs itself and makes no cell; ``_raw(r)`` gives any cell's
-observation in raw form, forced or not.
+``(arg, v)``. ``step()`` makes that call and puts the rest in a new
+``Res``, or for an input gives a continuation that makes one per call. It
+caches nothing: stepping a held resumption again computes its observation
+again, and a held resumption keeps none of the run it has shown. Every run
+the library makes (``drive``, ``trace.walk`` and the checkers in
+``checks``) calls the pairs itself and makes no ``Res``; ``_raw(r)`` is
+r's observation in raw form. The stock constructors (``Res.delay`` and
+the rest) hold an observation already made, under the identity
+``_same``, with a rest ``r`` as the pair ``(_raw, r)``.
 
 The big-step interpreter ``eval_res`` runs code made by ``_compile`` when a
 statement is first entered, so a run compiles only what it reaches; each
@@ -69,45 +73,34 @@ from .syntax import (
 
 
 class Res:
-    """A suspended resumption; ``step()`` forces it once, as ``fn(arg)``,
-    memoizes the observation and drops ``fn`` and ``arg``."""
+    """A suspended resumption: a function and its argument, whose call
+    ``fn(arg)`` is its observation in raw form. ``step()`` makes that call
+    each time it is called and keeps nothing."""
 
-    __slots__ = ("_fn", "_arg", "_obs")
+    __slots__ = ("_fn", "_arg")
 
     def __init__(self, fn: Callable[[object], tuple], arg: object):
         self._fn = fn
         self._arg = arg
-        self._obs = None
 
     def step(self) -> tuple:
-        obs = self._obs
-        if obs is None:
-            obs = self._obs = _memo(self._fn(self._arg))
-            self._fn = self._arg = None
-        return obs
-
-    @staticmethod
-    def _of(obs: tuple) -> "Res":
-        r = Res.__new__(Res)
-        r._fn = r._arg = None
-        r._obs = obs
-        return r
+        return _cooked(self._fn(self._arg))
 
     @staticmethod
     def ret(s: State) -> "Res":
-        return Res._of(("ret", s))
+        return Res(_same, ("ret", s))
 
     @staticmethod
     def inp(f: Callable[[Val], "Res"]) -> "Res":
-        return Res._of(("in", f))
+        return Res(_same, ("in", _apply, f))
 
     @staticmethod
     def out(v: Val, rest: "Res") -> "Res":
-        return Res._of(("out", v, rest))
+        return Res(_same, ("out", v, _raw, rest))
 
     @staticmethod
     def delay(rest: "Res", s: State | None = None) -> "Res":
-        return Res._of(("delay", rest, s))
+        return Res(_same, ("delay", _raw, rest, s))
 
     @staticmethod
     def suspend(make: Callable[[], "Res"]) -> "Res":
@@ -115,25 +108,17 @@ class Res:
 
 
 def _raw(r: Res) -> tuple:
-    """The observation of r in raw form. It memoizes nothing: a cell not
-    yet forced is computed afresh, and a forced one hands back its rest as
-    the pair (_raw, cell)."""
-    obs = r._obs
-    if obs is None:
-        return r._fn(r._arg)
-    tag = obs[0]
-    if tag == "delay":
-        return ("delay", _raw, obs[1], obs[2])
-    if tag == "out":
-        return ("out", obs[1], _raw, obs[2])
-    if tag == "in":
-        return ("in", _apply, obs[1])
+    """The observation of r in raw form."""
+    return r._fn(r._arg)
+
+
+def _same(obs: tuple) -> tuple:
     return obs
 
 
-def _memo(obs: tuple) -> tuple:
-    """The raw observation obs as step() returns it: its rest in a cell,
-    and for an input, a continuation that makes one."""
+def _cooked(obs: tuple) -> tuple:
+    """The raw observation obs as step() returns it: its rest a Res, and
+    for an input, a continuation that makes one."""
     tag = obs[0]
     if tag == "delay":
         fn, arg = obs[1], obs[2]
@@ -155,8 +140,7 @@ def _apply(fv: tuple) -> tuple:
 
 
 def _feed(fn: Callable[[tuple], tuple], arg: object, v: Val) -> Res:
-    """The cell of the run after a raw input observation ("in", fn, arg)
-    reads v."""
+    """The run after a raw input observation ("in", fn, arg) reads v."""
     return Res(fn, (arg, v))
 
 
@@ -435,9 +419,8 @@ def drive(r: Res, next_input: Callable[[], Val | None], fuel: int) -> Iterator[E
     """Yield the events of running r; next_input() supplies input values
     (None meaning no more input). Every delay, in, and out consumes one
     fuel; a terminal event always closes the stream. It steps raw
-    observations and makes no cell."""
+    observations and makes no Res."""
     fn, arg = _raw, r
-    del r  # a held head would keep any cells already memoized behind it
     while True:
         if fuel <= 0:
             yield ("truncated",)

@@ -5,6 +5,7 @@ the syntax nodes, configurations and verdicts share."""
 from __future__ import annotations
 
 from collections.abc import Callable
+from operator import index
 
 # Variables are interned non-negative indices (the parser owns the
 # name <-> index table); values are signed 64-bit integers.
@@ -16,8 +17,9 @@ _HALF = 1 << 63
 
 
 def wrap(n: int) -> Val:
-    """Reduce n to a signed 64-bit value, two's-complement wrap-around."""
-    return (n + _HALF) % _MOD - _HALF
+    """Reduce n to a signed 64-bit value, two's-complement wrap-around. n
+    must be an int (a bool is one): a float raises TypeError."""
+    return (index(n) + _HALF) % _MOD - _HALF
 
 
 def _index(x) -> Var:
@@ -324,7 +326,7 @@ class State(tuple):
     def upd(self, x: Var, v: Val) -> "State":
         if type(x) is not int or x < 0:
             _index(x)  # raises
-        return self._set(x, (v + _HALF) % _MOD - _HALF)
+        return self._set(x, (index(v) + _HALF) % _MOD - _HALF)
 
     def _set(self, x: Var, v: Val) -> "State":
         """upd for a variable index x and a value v already wrapped, as in

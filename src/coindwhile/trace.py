@@ -8,11 +8,12 @@ work bounded by the size of the statement, never by the length of the trace.
 
 A trace is a resumption that never does input or output, so ``Trace`` is a
 view over a ``Res``: a delay observation ``("delay", rest, s)`` reads as
-``(s, Trace(rest))`` and ``("ret", s)`` as ``(s, None)``. The memo cell and
-the interpreters are those of ``resumption.py``; this module only checks
-that a program is pure and changes the point of view. ``Trace.step()``
-memoizes, as ``Res.step()`` does; ``walk`` and ``take`` look at each state
-once and memoize nothing.
+``(s, Trace(rest))`` and ``("ret", s)`` as ``(s, None)``. The suspension
+and the interpreters are those of ``resumption.py``; this module only
+checks that a program is pure and changes the point of view. Like
+``Res.step()``, ``Trace.step()`` caches nothing; ``walk`` and ``take``
+compute each state once and make no ``Res``. A trace whose run does input
+or output raises ``ImpureProgramError`` where it would end.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class Trace:
         obs = self._res.step()
         if obs[0] == "delay":
             return (obs[2], Trace(obs[1]))
-        return (obs[1], None)
+        return (_final(obs), None)
 
 
 class TracePrefix(Record):
@@ -67,21 +68,19 @@ def walk(t: Trace, fuel: int) -> Iterator[State | None]:
     """Yield the states of t one at a time, at most fuel delays' worth plus
     a free final state if t ends by then; then None if the fuel ran out.
 
-    It steps raw observations (see ``resumption._raw``): no memo cell is
-    made or filled, so a run streams in constant memory even when the
-    caller keeps t.
+    It steps raw observations (see ``resumption._raw``) and makes no
+    ``Res``, so a run streams in constant memory.
     """
     fn, arg = _raw, t._res
-    del t  # a held head would keep any cells already memoized behind it
     for _ in range(fuel):
         obs = fn(arg)
         if obs[0] != "delay":
-            yield obs[1]
+            yield _final(obs)
             return
         yield obs[3]
         fn, arg = obs[1], obs[2]
     obs = fn(arg)
-    yield None if obs[0] == "delay" else obs[1]
+    yield None if obs[0] == "delay" else _final(obs)
 
 
 def take(t: Trace, fuel: int) -> TracePrefix:
@@ -92,7 +91,6 @@ def take(t: Trace, fuel: int) -> TracePrefix:
     and ``truncated``.
     """
     seen = walk(t, fuel)
-    del t  # as in walk: the head must not outlive the call
     # the tuple is built once, straight from walk, up to a None if the fuel
     # ran out; walk has returned, and its frame is gone, iff t ended
     states = tuple(takewhile(_is_state, seen))
@@ -105,6 +103,14 @@ def _pure(stmt: Stmt) -> Stmt:
             "trace semantics is for pure While; program performs input/output"
         )
     return stmt
+
+
+def _final(obs: tuple) -> State:
+    """The final state of obs, an observation that is not a delay: it must
+    be a ret, or the run does input or output."""
+    if obs[0] != "ret":
+        raise ImpureProgramError(f"a trace ends on {obs[0]!r}: the run does input/output")
+    return obs[1]
 
 
 def eval_trace(stmt: Stmt, s: State) -> Trace:

@@ -185,8 +185,7 @@ def test_criterion_7_productivity_budget():
 
         def observe_events():
             seen = 0
-            # the resumption head is passed straight to the driver, not
-            # bound, so memoized tails cannot retain the observed prefix
+            # drive keeps none of the prefix it has observed
             for _ in drive(eval_res(prog, EMPTY), lambda: None, steps):
                 seen += 1
             # fuel delays/outputs plus the truncation mark

@@ -96,13 +96,13 @@ def peak_bytes(run):
 
 
 LOOP = "while tt do skip od"
-# a memoized delay costs over 100 bytes: 10^5 kept would be ~10 MB
+# a kept delay costs over 100 bytes: 10^5 kept would be ~10 MB
 FLAT = 64 * 1024
 
 
 class TestFlatMemory:
-    # the checkers peel silent stretches without memoizing them, so a held
-    # root keeps nothing of a stretch however long
+    # the checkers peel silent stretches without keeping them, so memory
+    # stays flat however long a stretch is
 
     @pytest.mark.parametrize("make", [
         pytest.param(lambda: eval_res(ast(LOOP), EMPTY), id="eval_res"),
@@ -254,6 +254,27 @@ class TestDelayBisim:
         with pytest.raises(ValueError):
             BisimConfig(input_sample=())
 
+    def test_budgets_are_ints(self):
+        for budgets in ({"delay_budget": 2.5}, {"depth_budget": 4.0}):
+            with pytest.raises(TypeError):
+                BisimConfig(**budgets)
+        with pytest.raises(TypeError):
+            responsive(bot(), 2.5, 10, (0,))
+        with pytest.raises(TypeError):
+            responsive(bot(), 2, 10.0, (0,))
+        assert BisimConfig(delay_budget=True).delay_budget == 1
+
+    def test_a_sample_is_a_tuple_of_distinct_values(self):
+        # a repeated value explores the same branch again: six zeros would
+        # end on the node budget where one zero confirms
+        cfg = BisimConfig(input_sample=[0, 0, 1, 1, 1, -1, 0])
+        assert cfg.input_sample == (0, 1, -1)
+        assert cfg == BisimConfig() and hash(cfg) == hash(BisimConfig())
+        r = eval_res(ast("while tt do input x ; output x od"), EMPTY)
+        for sample in ((0,), [0] * 6):
+            assert delay_bisim(r, r, BisimConfig(input_sample=sample)) == EquivalentUpToBounds()
+            assert responsive(r, 4, 64, sample) == ResponsiveUpToBounds()
+
 
 def delays(p):
     """p delays, then ret."""
@@ -283,7 +304,7 @@ class TestDelayWindow:
 
 class TestNoCells:
     # the search steps raw (fn, arg) pairs, as drive does, so a query on
-    # the interpreters' resumptions makes no memo cell
+    # the interpreters' resumptions makes no Res
 
     @pytest.mark.parametrize("interp", [eval_res, norm_res])
     def test_the_checkers_build_no_cells(self, interp):

@@ -534,6 +534,11 @@ class TestBisim:
         assert status == 5
         assert lines[0].startswith("budget exhausted (delay)")
 
+    def test_a_repeated_sample_value_is_probed_once(self, capsys):
+        for sample in ("0", "0,0,0,0,0,0"):
+            status, lines = run_cli(capsys, "bisim", ECHO, ECHO, "--sample", sample)
+            assert (status, lines) == (0, ["equivalent up to bounds"]), sample
+
     def test_an_endless_echo_ends_on_the_node_budget(self, capsys, tmp_path):
         # 3^32 input paths within the depth budget; this used to hang
         prog = tmp_path / "echo_loop.whl"

@@ -267,21 +267,29 @@ class TestStockResumptions:
 INC_ECHO = "while tt do input x ; x := x + 1 ; output x od"
 
 
-class TestMemoCell:
+def head(obs):
+    """What an observation shows, without its rest."""
+    return obs[:1] if obs[0] == "in" else ("delay", obs[2]) if obs[0] == "delay" else obs[:2]
+
+
+class TestSuspension:
     @pytest.mark.parametrize("make", [
         pytest.param(lambda: eval_res(ast(INC_ECHO), EMPTY), id="eval_res"),
         pytest.param(lambda: norm_res(ast(INC_ECHO), EMPTY), id="norm_res"),
         pytest.param(lambda: echo(EMPTY), id="echo"),
         pytest.param(lambda: rep(4), id="rep"),
     ])
-    def test_a_forced_cell_keeps_only_its_observation(self, make):
-        # a cell drops the function and argument it was forced with, so a
-        # held run costs no more than its observations
+    def test_a_stepped_resumption_keeps_only_its_fn_and_arg(self, make):
+        # step() caches nothing: a held resumption holds its function and
+        # argument however often it is stepped, so it keeps none of the
+        # run it has shown, and stepping it again shows the same head
         r = make()
         for _ in range(12):
+            fn, arg = r._fn, r._arg
             obs = r.step()
-            held = [x for x in gc.get_referents(r) if x is not None and x is not Res]
-            assert held == [obs]
+            held = [x for x in gc.get_referents(r) if x is not Res]
+            assert sorted(map(id, held)) == sorted(map(id, (fn, arg)))
+            assert head(r.step()) == head(obs)
             tag = obs[0]
             r = obs[1](0) if tag == "in" else obs[2] if tag == "out" else obs[1]
 
@@ -292,6 +300,14 @@ class TestDriver:
 
     def test_zero_fuel_truncates(self):
         assert run_events(Res.ret(EMPTY), [], 0) == [("truncated",)]
+
+    @pytest.mark.parametrize("interp", [eval_res, norm_res])
+    def test_an_input_must_be_an_int(self, interp):
+        r = interp(ast("input x ; output x"), EMPTY)
+        with pytest.raises(TypeError):
+            run_events(r, [3.7], 10)
+        log = run_events(r, [True], 10)
+        assert log == [("in", True), ("out", 1), ("ret", State({0: 1}))]
 
     def test_input_exhaustion_is_terminal_not_an_error(self):
         log = run_events(eval_res(ast("input x ; input y"), EMPTY), [3], 32)
@@ -431,7 +447,8 @@ def step_trace_eq(t0, t1, fuel):
 
 
 def forced(r, n):
-    """r after its first n observations have been memoized by step()."""
+    """r, once step() has been called on it and on its rests, n times in
+    all: a head that a caller has already stepped."""
     head = r
     for _ in range(n):
         obs = r.step()
@@ -453,9 +470,9 @@ LOOP = "while tt do skip od"
 
 
 class TestSinglePassRuns:
-    # drive, take and trace_eq step raw observations and memoize nothing;
-    # they must see what a loop of step() calls sees, on fresh cells, on
-    # cells that step() has already forced, and on hand-built resumptions
+    # drive, take and trace_eq step raw observations and make no Res; they
+    # must see what a loop of step() calls sees, on fresh heads, on heads
+    # that step() has already been called on, and on hand-built resumptions
 
     @pytest.mark.parametrize("interp", [eval_res, norm_res, denote])
     def test_run_events_equals_stepping(self, interp):
@@ -467,7 +484,7 @@ class TestSinglePassRuns:
             want = step_events(interp(stmt, s), script, 100)
             assert run_events(interp(stmt, s), script, 100) == want, (stmt, s, script)
             for n in (1, 5):
-                # an input's continuation makes a fresh cell on each call,
+                # an input's continuation makes a fresh Res on each call,
                 # so the branch forced() took does not bind the script's
                 r = forced(interp(stmt, s), n)
                 assert run_events(r, script, 100) == want, (stmt, s, script, n)
@@ -523,13 +540,13 @@ class TestSinglePassRuns:
 
 
 def cells_built(run):
-    """The number of Res cells made while run() runs."""
+    """The number of Res made while run() runs."""
     made = 0
-    codes = {Res.__init__.__code__, Res._of.__code__}
+    code = Res.__init__.__code__
 
     def count(frame, event, arg):
         nonlocal made
-        if event == "call" and frame.f_code in codes:
+        if event == "call" and frame.f_code is code:
             made += 1
 
     sys.setprofile(count)

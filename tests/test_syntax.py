@@ -96,6 +96,20 @@ class TestState:
         with pytest.raises(TypeError):
             Input(key)
 
+    @pytest.mark.parametrize("value", [1.5, 2.5, 0.0, -3.7, "1", None])
+    def test_a_value_must_be_an_int(self, value):
+        with pytest.raises(TypeError):
+            wrap(value)
+        with pytest.raises(TypeError):
+            State({0: value})
+        with pytest.raises(TypeError):
+            EMPTY.upd(0, value)
+
+    def test_a_bool_value_is_an_int(self):
+        assert wrap(True) == 1 and wrap(False) == 0
+        assert State({0: True}) == EMPTY.upd(0, True) == EMPTY.upd(0, 1)
+        assert EMPTY.upd(0, False) is EMPTY
+
     def test_constructor_matches_updates(self):
         s = State({3: 5, 0: -1, 9: 0, 4: 2**64 + 1})
         assert s == EMPTY.upd(0, -1).upd(3, 5).upd(4, 1)

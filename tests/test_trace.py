@@ -5,7 +5,9 @@ import tracemalloc
 
 import pytest
 
+from coindwhile.checks import trace_eq
 from coindwhile.parse import parse
+from coindwhile.resumption import eval_res, norm_res
 from coindwhile.syntax import (
     Assign,
     FalseLit,
@@ -20,6 +22,7 @@ from coindwhile.syntax import (
 )
 from coindwhile.trace import (
     ImpureProgramError,
+    Trace,
     TracePrefix,
     eval_trace,
     norm,
@@ -46,7 +49,7 @@ class TestTake:
         assert pre == TracePrefix((EMPTY, EMPTY), False)
 
     def test_does_not_hold_the_head(self):
-        # the memoized cells of 50,000 steps take about 6 MB if retained
+        # the steps of 50,000 delays take about 6 MB if retained
         tracemalloc.start()
         try:
             pre = take(eval_trace(While(TrueLit(), Skip()), EMPTY), 50_000)
@@ -208,6 +211,38 @@ class TestContracts:
             eval_trace(prog, EMPTY)
         with pytest.raises(ImpureProgramError):
             norm(prog, EMPTY)
+
+
+class TestImpureRuns:
+    # a Trace built straight over a resumption that does input or output
+    # raises where the trace would end, not reading an output as a state
+
+    @pytest.mark.parametrize("interp", [eval_res, norm_res])
+    def test_an_output_is_not_a_final_state(self, interp):
+        t = Trace(interp(ast("output 7 ; x := 1"), EMPTY))
+        with pytest.raises(ImpureProgramError):
+            t.step()
+        for fuel in (0, 10):
+            with pytest.raises(ImpureProgramError):
+                take(t, fuel)
+        with pytest.raises(ImpureProgramError):
+            trace_eq(t, t, 10)
+        with pytest.raises(ImpureProgramError):
+            trace_eq(eval_trace(ast("x := 1"), EMPTY), t, 10)
+
+    @pytest.mark.parametrize("interp", [eval_res, norm_res])
+    def test_an_input_after_delays_is_not_a_final_state(self, interp):
+        t = Trace(interp(ast("x := 1 ; input x"), EMPTY))
+        s, tail = t.step()
+        assert s == EMPTY and tail is not None
+        assert take(t, 0) == TracePrefix((), False)
+        for fuel in (1, 5):
+            with pytest.raises(ImpureProgramError):
+                take(t, fuel)
+        with pytest.raises(ImpureProgramError):
+            tail.step()
+        with pytest.raises(ImpureProgramError):
+            trace_eq(t, eval_trace(ast("x := 1"), EMPTY), 10)
 
 
 class TestProperties:
