@@ -2,6 +2,17 @@
 interactive-I/O extension: coinductive traces and resumptions, big-step and
 small-step semantics, and fuel-bounded equivalence checkers."""
 
+from .checks import (
+    BisimConfig,
+    BudgetExhausted,
+    Distinguished,
+    EquivalentUpToBounds,
+    LatencyExceeded,
+    ResponsiveUpToBounds,
+    delay_bisim,
+    responsive,
+    trace_eq,
+)
 from .parse import NameTable, ParseError, parse, pretty
 from .resumption import (
     Res,
@@ -23,28 +34,6 @@ from .trace import (
     norm,
     take,
 )
-
-# the checkers are imported on first use (PEP 562), since only some
-# commands need them and a command line pays for every import it makes
-_FROM_CHECKS = frozenset({
-    "BisimConfig",
-    "BudgetExhausted",
-    "Distinguished",
-    "EquivalentUpToBounds",
-    "LatencyExceeded",
-    "ResponsiveUpToBounds",
-    "delay_bisim",
-    "responsive",
-    "trace_eq",
-})
-
-
-def __getattr__(name):
-    if name in _FROM_CHECKS:
-        from . import checks
-        return getattr(checks, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "BisimConfig",

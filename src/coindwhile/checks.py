@@ -21,7 +21,7 @@ from functools import partial
 from operator import index
 
 from .resumption import Res, _raw
-from .syntax import Record
+from .syntax import Record, wrap
 from .trace import Trace, _final
 
 
@@ -71,13 +71,14 @@ NODE_BUDGET = 100_000
 
 
 def _checked(input_sample, *budgets: int) -> tuple:
-    """The sample as a tuple of its values in order, each once (a repeated
-    value would only explore the same branch again), then the budgets as
-    ints, each of which must be positive."""
+    """The sample as a tuple of its values in order, each as the 64-bit
+    value an interpreter reads (syntax.wrap; a non-int is a TypeError) and
+    each once (a repeated value would only explore the same branch again),
+    then the budgets as ints, each of which must be positive."""
     budgets = tuple(map(index, budgets))
     if min(budgets) <= 0:
         raise ValueError("budgets must be positive")
-    sample = tuple(dict.fromkeys(input_sample))
+    sample = tuple(dict.fromkeys(map(wrap, input_sample)))
     if not sample:
         raise ValueError("input sample must be nonempty")
     return (sample, *budgets)
@@ -259,12 +260,16 @@ def responsive(
 
 
 def trace_eq(t0: Trace, t1: Trace, fuel: int) -> Verdict:
-    """Lock-step comparison of two traces up to fuel delay observations.
+    """Lock-step comparison of two traces up to fuel delay observations;
+    fuel is an int of at least 0, and fuel 0 compares the first observation.
 
     A Distinguished witness is (index, left, right) where left/right
     describe the first disagreeing observation as ("nil", s) or
     ("delay", s).
     """
+    fuel = index(fuel)
+    if fuel < 0:
+        raise ValueError("fuel must be non-negative")
 
     def describe(obs):
         return ("delay", obs[3]) if obs[0] == "delay" else ("nil", _final(obs))

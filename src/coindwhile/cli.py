@@ -12,10 +12,9 @@ import os
 import sys
 from itertools import zip_longest
 
-# checks and json are imported only by the commands that use them
-# (_cmd_compare, _cmd_bisim, _cmd_responsive and a --json _Render): a command
-# line pays for every import it makes, and most commands need neither
-from . import resumption, trace
+# json is imported only by a --json _Render: a command line pays for every
+# import it makes, and most commands do not need it
+from . import checks, resumption, trace
 from .parse import KEYWORDS, NameTable, ParseError, parse, pretty
 from .syntax import State, is_pure, wrap
 
@@ -248,8 +247,6 @@ def _print_summary(fields: dict, s, names: NameTable, as_json: bool) -> None:
 
 
 def _cmd_compare(args) -> int:
-    from . import checks
-
     stmt, names = _load(args.file)
     init = _parse_init(args.init, names)
     if is_pure(stmt):
@@ -297,8 +294,6 @@ def _report(verdict, names: NameTable, positive: str, negative: str) -> int:
     """Print a checker's verdict on one line and return its exit status:
     positive is the line of a verdict up to bounds and negative the label of
     a refutation. A refutation or a spent budget prints its path."""
-    from . import checks
-
     match verdict:
         case checks.EquivalentUpToBounds() | checks.ResponsiveUpToBounds():
             print(positive)
@@ -312,8 +307,6 @@ def _report(verdict, names: NameTable, positive: str, negative: str) -> int:
 
 
 def _cmd_bisim(args) -> int:
-    from . import checks
-
     # one name table for both, so that states compare by variable name
     stmt_a, names = _load(args.file_a)
     stmt_b, _ = _load(args.file_b, names)
@@ -329,8 +322,6 @@ def _cmd_bisim(args) -> int:
 
 
 def _cmd_responsive(args) -> int:
-    from . import checks
-
     stmt, names = _load(args.file)
     verdict = checks.responsive(
         resumption.eval_res(stmt, State.empty()),

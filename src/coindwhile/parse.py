@@ -14,11 +14,11 @@ Grammar (statements, parsed with an explicit stack of the open 'while',
              | 'output' aexp
 
 Expressions of both sorts are parsed by one operator-precedence routine
-driven by the table _BINARY, which the printer reads too. From loosest to
-tightest: 'or', 'and', prefix 'not', the comparisons '=' and '<=' (whose
-operands are arithmetic), '+' and '-', '*'; binary operators are
-left-associative. Parentheses are allowed everywhere; '#' starts a line
-comment.
+driven by the table _BINARY. From loosest to tightest: 'or', 'and', prefix
+'not', the comparisons '=' and '<=' (whose operands are arithmetic), '+'
+and '-', '*'; binary operators are left-associative. Parentheses are
+allowed everywhere; '#' starts a line comment. The printer reads the same
+table, in one loop on an explicit stack, so a tree of any depth prints.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .syntax import (
     Var,
     VarRef,
     While,
-    strip_nots,
     wrap,
 )
 
@@ -79,7 +78,10 @@ _BINARY = {
     "*": (6, Mul, False),
 }
 _NOT = 3
-_SPELLING = {node: op for op, (_, node, _) in _BINARY.items()}
+# operator class -> (precedence, spelling), for the printer; operators are
+# left-associative, so a right operand of equal precedence is parenthesized
+_PRINTED = {node: (prec, f" {op} ") for op, (prec, node, _) in _BINARY.items()}
+_PRINTED[Not] = (_NOT, "not ")
 
 # One match is one token, captured in group 1, with the blanks and comments
 # before it. A character that starts no token is a token of its own, a bad
@@ -374,56 +376,53 @@ def parse(src: str, names: NameTable | None = None) -> tuple[Stmt, NameTable]:
 # pretty-printer
 
 
-def _pe(e, names: NameTable, ctx: int) -> str:
-    """Render an expression of either sort; parenthesize it if it binds
-    looser than ctx, the precedence its position requires."""
-    t = type(e)
-    if t is NumLit:
-        return str(e.value)
-    if t is VarRef:
-        return names.name_of(e.var)
-    if t is TrueLit:
-        return "tt"
-    if t is FalseLit:
-        return "ff"
-    if t is Not:
-        n, e = strip_nots(e)
-        prec, text = _NOT, "not " * n + _pe(e, names, _NOT)
-    elif t in _SPELLING:
-        op = _SPELLING[t]
-        prec = _BINARY[op][0]
-        # left-associative: a right operand of equal precedence needs parentheses
-        text = f"{_pe(e.left, names, prec)} {op} {_pe(e.right, names, prec + 1)}"
-    else:
-        raise TypeError(f"not an expression: {e!r}")
-    return f"({text})" if prec < ctx else text
-
-
 def pretty(stmt: Stmt, names: NameTable) -> str:
     """Render stmt in concrete syntax; the result re-parses to an equal AST
-    (up to the name/index bijection)."""
-    if type(stmt) is Seq:
-        # walk the right spine with a loop, so that long ';' chains print
-        parts = []
-        while type(stmt) is Seq:
-            parts.append(pretty(stmt.first, names))
-            stmt = stmt.second
-        parts.append(pretty(stmt, names))
-        return " ; ".join(parts)
-    match stmt:
-        case Skip():
-            return "skip"
-        case Assign(var=x, expr=a):
-            return f"{names.name_of(x)} := {_pe(a, names, 0)}"
-        case If(cond=c, then=a, orelse=b):
-            return (
-                f"if {_pe(c, names, 0)} then {pretty(a, names)}"
-                f" else {pretty(b, names)} fi"
-            )
-        case While(cond=c, body=a):
-            return f"while {_pe(c, names, 0)} do {pretty(a, names)} od"
-        case Input(var=x):
-            return f"input {names.name_of(x)}"
-        case Output(expr=a):
-            return f"output {_pe(a, names, 0)}"
-    raise TypeError(f"not a statement: {stmt!r}")
+    (up to the name/index bijection). One loop over a stack of text and of
+    (node, precedence) items, so no nesting recurses: an expression is
+    parenthesized if it binds looser than its position needs, and a
+    statement's position is None, where only a statement may stand."""
+    out: list[str] = []
+    todo: list = [(stmt, None)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, ctx = item
+        t = type(node)
+        if ctx is None:
+            if t is Seq:
+                todo += (node.second, None), " ; ", (node.first, None)
+            elif t is Assign:
+                todo += (node.expr, 0), " := ", names.name_of(node.var)
+            elif t is While:
+                todo += " od", (node.body, None), " do ", (node.cond, 0), "while "
+            elif t is If:
+                todo += (" fi", (node.orelse, None), " else ", (node.then, None),
+                         " then ", (node.cond, 0), "if ")
+            elif t is Output:
+                todo += (node.expr, 0), "output "
+            elif t is Input:
+                out += "input ", names.name_of(node.var)
+            elif t is Skip:
+                out.append("skip")
+            else:
+                raise TypeError(f"not a statement: {node!r}")
+        elif t is VarRef:
+            out.append(names.name_of(node.var))
+        elif t is NumLit:
+            out.append(str(node.value))
+        elif t in _PRINTED:
+            prec, op = _PRINTED[t]
+            if prec < ctx:  # parenthesized, it fits any position
+                todo += ")", (node, 0), "("
+            elif t is Not:
+                todo += (node.operand, prec), op
+            else:
+                todo += (node.right, prec + 1), op, (node.left, prec)
+        elif t is TrueLit or t is FalseLit:
+            out.append("tt" if t is TrueLit else "ff")
+        else:
+            raise TypeError(f"not an expression: {node!r}")
+    return "".join(out)

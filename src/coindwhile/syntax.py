@@ -395,7 +395,7 @@ def aexp(a: AExp, s: State) -> Val:
 def strip_nots(b: BExp) -> tuple[int, BExp]:
     """The number of Not nodes that b starts with, and the expression under
     them. A loop, so that a long chain of negations costs no recursion in
-    bexp, compile_bexp or the printer."""
+    bexp or compile_bexp."""
     n = 0
     while type(b) is Not:
         n += 1

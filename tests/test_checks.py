@@ -275,6 +275,22 @@ class TestDelayBisim:
             assert delay_bisim(r, r, BisimConfig(input_sample=sample)) == EquivalentUpToBounds()
             assert responsive(r, 4, 64, sample) == ResponsiveUpToBounds()
 
+    def test_sample_values_are_ints_read_as_64_bit_values(self):
+        # a non-int is refused up front, not mid-search on a run that reads
+        # it, and the stock echo no longer confirms a sample it cannot read
+        r = eval_res(ast("while tt do input x ; output x od"), EMPTY)
+        for res in (r, echo(EMPTY)):
+            for bad in (0.5, "1"):
+                with pytest.raises(TypeError):
+                    delay_bisim(res, res, BisimConfig(input_sample=(bad,)))
+                with pytest.raises(TypeError):
+                    responsive(res, 4, 8, (bad,))
+        cfg = BisimConfig(input_sample=(0, 2**64, 2**63, -(2**63), True))
+        assert cfg.input_sample == (0, -(2**63), 1)
+        # 2**64 is read as 0, so echo and echo_div both echo it forever
+        cfg = BisimConfig(delay_budget=4, depth_budget=8, input_sample=(2**64,))
+        assert delay_bisim(echo(EMPTY), echo_div(), cfg) == EquivalentUpToBounds()
+
 
 def delays(p):
     """p delays, then ret."""
@@ -461,12 +477,23 @@ class TestTraceEq:
             assert verdict == EquivalentUpToBounds()
 
     def test_distinguishes_nil_from_delay(self):
-        verdict = trace_eq(
-            eval_trace(Skip(), EMPTY),
-            eval_trace(Assign(0, NumLit(0)), EMPTY),
-            4,
-        )
-        assert verdict == Distinguished((0, ("nil", EMPTY), ("delay", EMPTY)))
+        # fuel 0 compares the first observation
+        for fuel in (4, 0):
+            verdict = trace_eq(
+                eval_trace(Skip(), EMPTY),
+                eval_trace(Assign(0, NumLit(0)), EMPTY),
+                fuel,
+            )
+            assert verdict == Distinguished((0, ("nil", EMPTY), ("delay", EMPTY)))
+
+    def test_fuel_is_a_non_negative_int(self):
+        t0 = eval_trace(ast("x := 1"), EMPTY)
+        t1 = eval_trace(ast("x := 2"), EMPTY)
+        assert isinstance(trace_eq(t0, t1, 1), Distinguished)
+        with pytest.raises(ValueError):
+            trace_eq(t0, t1, -1)
+        with pytest.raises(TypeError):
+            trace_eq(t0, t1, 1.0)
 
     def test_witness_index_points_at_first_disagreement(self):
         t0 = eval_trace(ast("x := 1 ; x := 2"), EMPTY)

@@ -407,12 +407,6 @@ class TestDeepInput:
         status, lines = run_cli(capsys, "run", str(prog), "--emit", "summary")
         assert (status, lines) == (0, ["status=ended steps=5001 state={x=1}"])
 
-    @staticmethod
-    def assert_one_line_error(capsys, argv):
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and "nested too deeply" in err
-
     def test_deep_parentheses_parse_and_run(self, capsys, tmp_path):
         # the expression parser keeps parentheses on a stack, not the call stack
         prog = tmp_path / "parens.whl"
@@ -420,12 +414,19 @@ class TestDeepInput:
         assert run_cli(capsys, "parse", str(prog)) == (0, ["x := 1"])
         assert run_cli(capsys, "run", str(prog)) == (0, ["{}", "{x=1}", "ended"])
 
-    def test_deep_while_nest_is_an_error_not_a_traceback(self, capsys, tmp_path):
-        # the parser keeps open statements on a stack, but the printer
-        # still recurses once per nesting level
-        prog = tmp_path / "whiles.whl"
-        prog.write_text("while x <= 0 do " * 1000 + "skip" + " od" * 1000 + "\n")
-        self.assert_one_line_error(capsys, ["parse", str(prog)])
+    @pytest.mark.parametrize("source, width", [
+        ("while x <= 0 do " * 1000 + "x := x + 1" + " od" * 1000, 19_010),
+        ("x := " + "+".join(["1"] * 3000), 12_002),
+        ("x := " + "1+(" * 3000 + "1" + ")" * 3000, 18_004),
+        ("while " + "(tt and " * 3000 + "tt" + ")" * 3000 + " do skip od", 27_017),
+    ], ids=["while-nest", "long-sum", "right-nest", "and-guard"])
+    def test_deep_input_prints_and_reparses(self, capsys, tmp_path, source, width):
+        # the printer walks an explicit stack, so no nesting recurses
+        prog = tmp_path / "deep.whl"
+        prog.write_text(source + "\n")
+        status, lines = run_cli(capsys, "parse", str(prog))
+        assert status == 0 and len(lines) == 1 and len(lines[0]) == width
+        assert parse(lines[0])[0] == parse(source)[0]
 
     @pytest.mark.parametrize("mode", ["big", "small"])
     def test_deep_while_nest_runs(self, capsys, tmp_path, mode):
@@ -611,19 +612,17 @@ class TestParseCommand:
 
 
 class TestStartUp:
-    def test_import_loads_neither_checks_nor_dataclasses(self):
-        # what a command line imports, it pays for on every run
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # what a command line imports, it pays for on every run; json is
+        # imported by --json output alone
         code = (
             "import sys, coindwhile.cli\n"
-            "print(sorted({'dataclasses', 'inspect', 'coindwhile.checks'}"
-            " & set(sys.modules)))\n"
-            "from coindwhile import delay_bisim, BisimConfig\n"
-            "print(delay_bisim.__module__, BisimConfig().depth_budget)\n"
+            "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, timeout=30)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]", "coindwhile.checks 64"]
+        assert proc.stdout.splitlines() == ["[]"]
 
     def test_import_does_not_load_typing(self):
         # -S skips site, which may import typing itself; the package is then
@@ -641,7 +640,10 @@ class TestPublicSurface:
 
         for name in coindwhile.__all__:
             assert getattr(coindwhile, name) is not None, name
-        assert coindwhile._FROM_CHECKS <= set(coindwhile.__all__)
+        # and every public name the package imports, but for its modules, is exported
+        public = {name for name, value in vars(coindwhile).items()
+                  if not name.startswith("_") and type(value) is not type(coindwhile)}
+        assert public == set(coindwhile.__all__)
 
     def test_the_one_step_wrappers_are_gone(self):
         # the paper's red is tests/paper.py's red_ref; the checkers strip

@@ -244,6 +244,26 @@ class TestPretty:
         with pytest.raises(UnnamedVariableError):
             pretty(Assign(3, NumLit(1)), NameTable(["x"]))
 
+    @pytest.mark.parametrize("tree, kind", [
+        (NumLit(1), "statement"),
+        (TrueLit(), "statement"),
+        (Seq(Skip(), Add(NumLit(1), NumLit(2))), "statement"),
+        (While(TrueLit(), Not(FalseLit())), "statement"),
+        (If(TrueLit(), Skip(), VarRef(0)), "statement"),
+        (Assign(0, Skip()), "expression"),
+        (Output(Input(0)), "expression"),
+        (While(Skip(), Skip()), "expression"),
+        (Assign(0, Add(NumLit(1), Seq(Skip(), Skip()))), "expression"),
+        (Output(Not(Skip())), "expression"),
+        (None, "statement"),
+        ("skip", "statement"),
+    ])
+    def test_a_node_of_the_wrong_kind_is_a_type_error(self, tree, kind):
+        # the printer walks statements and expressions in one loop, so it
+        # must check each node against its position: not print x := skip
+        with pytest.raises(TypeError, match=f"not an? {kind}"):
+            pretty(tree, NameTable(["x"]))
+
     def test_round_trip_random_asts(self):
         rng = random.Random(42)
         names = NameTable(["a", "b", "c", "d"])
