@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import partial
 from operator import index
 
-from .resumption import Res, _raw
+from .resumption import Res, _fuel, _raw
 from .syntax import Record, wrap
 from .trace import Trace, _final
 
@@ -267,16 +267,13 @@ def trace_eq(t0: Trace, t1: Trace, fuel: int) -> Verdict:
     describe the first disagreeing observation as ("nil", s) or
     ("delay", s).
     """
-    fuel = index(fuel)
-    if fuel < 0:
-        raise ValueError("fuel must be non-negative")
 
     def describe(obs):
         return ("delay", obs[3]) if obs[0] == "delay" else ("nil", _final(obs))
 
     # step raw observations, as trace.walk does: no Res is made
     f0, a0, f1, a1 = _raw, t0._res, _raw, t1._res
-    for i in range(fuel + 1):
+    for i in range(_fuel(fuel) + 1):
         o0 = f0(a0)
         o1 = f1(a1)
         if o0[0] == "delay":

@@ -249,6 +249,7 @@ def _print_summary(fields: dict, s, names: NameTable, as_json: bool) -> None:
 def _cmd_compare(args) -> int:
     stmt, names = _load(args.file)
     init = _parse_init(args.init, names)
+    render = _Render(names)
     if is_pure(stmt):
         verdict = checks.trace_eq(
             trace.eval_trace(stmt, init), trace.norm(stmt, init), args.fuel
@@ -256,15 +257,18 @@ def _cmd_compare(args) -> int:
         if isinstance(verdict, checks.EquivalentUpToBounds):
             print(f"agree up to fuel {args.fuel}")
             return EXIT_OK
-        idx, left, right = verdict.witness
-        print(f"diverged at step {idx}: big={left} small={right}")
+        # each side is ("delay", s) or ("nil", s)
+        idx, (tag0, s0), (tag1, s1) = verdict.witness
+        print(f"diverged at step {idx}: big={tag0} {render.state(s0)}"
+              f" small={tag1} {render.state(s1)}")
         return EXIT_ERROR
     # the two runs stream in lock step, so memory stays flat in fuel
     big, small = (resumption.drive(interp(stmt, init), _input_source(args), args.fuel)
                   for interp in (resumption.eval_res, resumption.norm_res))
     for i, (b, s) in enumerate(zip_longest(big, small)):
         if b != s:
-            print(f"diverged at event {i}: big={b} small={s}")
+            # both runs end on a terminal event, so neither is None here
+            print(f"diverged at event {i}: big={render.event(b)} small={render.event(s)}")
             return EXIT_ERROR
     print(f"agree up to fuel {args.fuel}")
     return EXIT_OK

@@ -32,9 +32,12 @@ the rest) hold an observation already made, under the identity
 ``_same``, with a rest ``r`` as the pair ``(_raw, r)``.
 
 The big-step interpreter ``eval_res`` runs code made by ``_compile`` when a
-statement is first entered, so a run compiles only what it reaches; each
-statement calls the code of the one after it directly, and a rest is that
-code or a function made at compile time, with the state as its argument.
+statement is first entered, so a run compiles only what it reaches. All
+code that runs later is reached through a link, a one-item list
+``[code]`` that first holds a stub, which compiles the code and puts it in
+its place: a statement calls the code after it as ``rest[0](s)``, and a
+rest is that code or a function made at compile time, with the state as
+its argument.
 The small-step interpreter ``norm_res`` runs configurations
 ``(stmt, context, state)``. The context is the stack of ``Seq`` second
 components still to run, and it is kept from one step to the next
@@ -54,6 +57,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from functools import partial
+from operator import index
 
 from .syntax import (
     SKIP,
@@ -207,15 +211,16 @@ def eval_res(stmt: Stmt, s: State) -> Res:
     Same delay placement as the pure trace semantics: skip is silent,
     assignment and guard tests each delay once; input/output statements
     perform their action and terminate. Runs the code that ``_compile``
-    makes, in which each statement calls the code of the one after it. This
-    is the denotation of the paper's combinators for ``;`` and ``while``,
-    unfolded by associativity of ``;``. ``tests/paper.py`` keeps those
-    combinators as the reference that this interpreter is tested against.
-    Each statement is compiled on first entry, so a run pays only for the
-    statements it reaches, and a malformed node raises ``TypeError`` when
-    the run reaches it, not before.
+    makes, in which each statement calls the code of the one after it
+    through a link. This is the denotation of the paper's combinators for
+    ``;`` and ``while``, unfolded by associativity of ``;``.
+    ``tests/paper.py`` keeps those combinators as the reference that this
+    interpreter is tested against. Each statement is compiled on first
+    entry, so a run compiles only the statements it reaches, and a
+    malformed node raises ``TypeError`` when the run reaches it, not
+    before.
     """
-    return Res(lambda s: _compile(stmt, ([_ret, None], None))(s), s)
+    return Res(_link(stmt, ([_ret], None))[0], s)
 
 
 def _ret(s: State) -> tuple:
@@ -226,22 +231,19 @@ def _ret(s: State) -> tuple:
 # of running them from s and then the rest of the program.
 Code = Callable[[State], tuple]
 
-# A link is a list [code, conf]: the code that runs after some statements,
-# shared by all the code that can run before it. Until first called it is
-# [None, conf], and conf is the configuration (stmt, context) to compile.
-def _link(link: list) -> Code:
-    """The code of a link, compiled now if it has not been yet."""
-    code = link[0]
-    if code is None:
-        code = link[0] = _compile(*link[1])
-        link[1] = None
-    return code
 
+def _link(stmt: Stmt, ctx: Context) -> list:
+    """The link to the code of the configuration (stmt, ctx): a one-item
+    list [code], shared by all the code that runs before it.
 
-def _first(stmt: Stmt, ctx: Context) -> tuple:
-    """The first statement of the configuration (stmt, ctx) that is neither
-    a Seq nor a Skip, or else the link that ctx ends in, with the context
-    after it."""
+    The leading Seq and Skip nodes are walked on the context stack, as in
+    _resume. If that reaches the link that ctx ends in, nothing runs
+    before it, and it is the link returned. Otherwise the new link holds a
+    stub that compiles the first statement on its first call, puts the code
+    in the link and runs it. A raw observation made before that call holds
+    the stub as its rest and may be called again, so a later call of the
+    stub only forwards to the code.
+    """
     while True:
         t = type(stmt)
         if t is Seq:
@@ -249,8 +251,18 @@ def _first(stmt: Stmt, ctx: Context) -> tuple:
             stmt = stmt.first
         elif t is Skip:
             stmt, ctx = ctx
+        elif t is list:
+            return stmt
         else:
-            return stmt, ctx
+            break
+
+    def stub(s):
+        if link[0] is stub:
+            link[0] = _compile(stmt, ctx)
+        return link[0](s)
+
+    link = [stub]
+    return link
 
 
 def _delay(then: Code) -> Code:
@@ -259,75 +271,42 @@ def _delay(then: Code) -> Code:
 
 
 def _compile(stmt: Stmt, ctx: Context) -> Code:
-    """Code for the configuration (stmt, ctx).
+    """Code for the configuration (stmt, ctx), stmt neither a Seq nor a Skip.
 
-    Only the first statement to run is compiled now: its guard or its
-    expression. Each part that runs later (the code after it, ``rest``, the
-    branches of an if, a loop body) starts as a stub that compiles it when
-    first called and rebinds the variable its parent reads, so later calls
-    go straight to compiled code and nothing here recurses. Sequences are
-    walked on the context stack, as in _resume. A context ends in a link to
-    the code after it: the branches of an if share the if's, and a loop
-    body's is the loop's own guard test. Every stub that reads a link
-    rebinds to the link's code, whichever ran first. So the calls between
-    two observations are bounded by the syntax of one statement, not by the
-    depth of the Seq tree or of the loop nest.
+    Only stmt is compiled now: its guard or its expression. Everything that
+    runs later is reached through a link made by _link: the code after it,
+    ``rest``, the branches of an if and a loop body. The branches' context
+    ends in ``rest``, so they share the code after the if, and a loop body's
+    ends in the link of the loop's own guard test. Nothing here recurses,
+    and the calls between two observations are bounded by the syntax of one
+    statement, not by the depth of the Seq tree or of the loop nest.
     """
-    stmt, ctx = _first(stmt, ctx)
-    if type(stmt) is list:
-        return _link(stmt)
-    after = _first(*ctx)
-    link = after[0] if type(after[0]) is list else [None, after]
-    rest = link[0]
-    if rest is None:
-
-        def rest(s):
-            # observations made before its first call hold this stub; a
-            # call through it after that only forwards
-            nonlocal rest
-            rest = _link(link)
-            return rest(s)
-
+    rest = _link(*ctx)
     t = type(stmt)
     if t is Assign:
         x, e = stmt.var, compile_aexp(stmt.expr)
-        return _delay(lambda s: rest(s._set(x, e(s))))
+        return _delay(lambda s: rest[0](s._set(x, e(s))))
     if t is If:
-        c, then, orelse = compile_bexp(stmt.cond), stmt.then, stmt.orelse
-
-        def a(s):
-            nonlocal a
-            a = _compile(then, (link, None))
-            return a(s)
-
-        def b(s):
-            nonlocal b
-            b = _compile(orelse, (link, None))
-            return b(s)
-
-        return _delay(lambda s: a(s) if c(s) else b(s))
+        c = compile_bexp(stmt.cond)
+        a, b = _link(stmt.then, (rest, None)), _link(stmt.orelse, (rest, None))
+        return _delay(lambda s: a[0](s) if c(s) else b[0](s))
     if t is While:
-        c, inner = compile_bexp(stmt.cond), stmt.body
-
-        def body(s):
-            nonlocal body
-            body = _compile(inner, ([test, None], None))
-            return body(s)
-
-        test = _delay(lambda s: body(s) if c(s) else rest(s))
-        return test
+        c = compile_bexp(stmt.cond)
+        test = [_delay(lambda s: body[0](s) if c(s) else rest[0](s))]
+        body = _link(stmt.body, (test, None))
+        return test[0]
     if t is Input:
         x = stmt.var
 
         # called any number of times: checkers probe and replay it
         def read(sv):
             s, v = sv
-            return rest(s.upd(x, v))
+            return rest[0](s.upd(x, v))
 
         return lambda s: ("in", read, s)
     if t is Output:
         e = compile_aexp(stmt.expr)
-        return lambda s: ("out", e(s), rest, s)
+        return lambda s: ("out", e(s), rest[0], s)
     raise TypeError(f"not a statement: {stmt!r}")
 
 
@@ -415,11 +394,23 @@ def _read(cv: tuple) -> tuple:
 Event = tuple
 
 
+def _fuel(fuel: int) -> int:
+    """The fuel of a run, checked: an int of at least 0. A value that is
+    not an integer raises TypeError, a negative one ValueError. drive,
+    trace.walk and checks.trace_eq all take their fuel through this."""
+    fuel = index(fuel)
+    if fuel < 0:
+        raise ValueError(f"fuel must be non-negative, got {fuel}")
+    return fuel
+
+
 def drive(r: Res, next_input: Callable[[], Val | None], fuel: int) -> Iterator[Event]:
     """Yield the events of running r; next_input() supplies input values
     (None meaning no more input). Every delay, in, and out consumes one
-    fuel; a terminal event always closes the stream. It steps raw
+    fuel, an int of at least 0, checked by _fuel when the first event is
+    asked for; a terminal event always closes the stream. It steps raw
     observations and makes no Res."""
+    fuel = _fuel(fuel)
     fn, arg = _raw, r
     while True:
         if fuel <= 0:

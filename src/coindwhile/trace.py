@@ -23,7 +23,7 @@ from functools import partial
 from itertools import takewhile
 from operator import is_not
 
-from .resumption import Res, _raw, eval_res, norm_res
+from .resumption import Res, _fuel, _raw, eval_res, norm_res
 from .syntax import Record, State, Stmt, is_pure
 
 
@@ -69,10 +69,11 @@ def walk(t: Trace, fuel: int) -> Iterator[State | None]:
     a free final state if t ends by then; then None if the fuel ran out.
 
     It steps raw observations (see ``resumption._raw``) and makes no
-    ``Res``, so a run streams in constant memory.
+    ``Res``, so a run streams in constant memory. fuel is checked as
+    ``resumption._fuel`` checks it.
     """
     fn, arg = _raw, t._res
-    for _ in range(fuel):
+    for _ in range(_fuel(fuel)):
         obs = fn(arg)
         if obs[0] != "delay":
             yield _final(obs)

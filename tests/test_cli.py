@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from coindwhile import checks, resumption, trace
 from coindwhile.cli import _Render, _render_path, main
 from coindwhile.parse import NameTable, parse, pretty
-from coindwhile.syntax import State, is_pure
+from coindwhile.syntax import Assign, NumLit, Seq, State, is_pure
 
 from gen import gen_stmt
 
@@ -480,6 +480,23 @@ class TestCompare:
         )
         assert status == 0
         assert lines == ["agree up to fuel 512"]
+
+    @pytest.mark.parametrize("src, script, want", [
+        ("x := 1 ; x := 2", "", "diverged at step 1: big=delay {x=1} small=delay {x=7}"),
+        ("input x ; output x", "3", "diverged at event 0: big=in 3 small=delay"),
+        ("input x ; output x", "", "diverged at event 0: big=input-exhausted small=delay"),
+    ])
+    def test_a_divergence_names_the_variables(self, capsys, monkeypatch, tmp_path,
+                                              src, script, want):
+        # a small step that sets x to 7 first, so the two runs part
+        norm_res = resumption.norm_res
+        wrong = lambda stmt, s: norm_res(Seq(Assign(0, NumLit(7)), stmt), s)
+        monkeypatch.setattr(resumption, "norm_res", wrong)
+        monkeypatch.setattr(trace, "norm_res", wrong)
+        prog = tmp_path / "p.whl"
+        prog.write_text(src)
+        status, lines = run_cli(capsys, "compare", str(prog), "--script", script)
+        assert (status, lines) == (1, [want])
 
     def test_io_memory_is_flat_in_fuel(self, capsys, tmp_path):
         prog = tmp_path / "count.whl"

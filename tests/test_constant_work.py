@@ -121,7 +121,7 @@ class TestCompileOnFirstEntry:
         stmt = Seq(Assign(0, NumLit(1)), If(Le(VarRef(0), NumLit(0)), big, Skip()))
         log = run_events(eval_res(stmt, EMPTY), [], 100)
         assert log == [("delay",), ("delay",), ("ret", EMPTY.upd(0, 1))]
-        assert compiled == [stmt, stmt.second, Skip()]
+        assert compiled == [stmt.first, stmt.second]
 
     def test_a_trace_starts_without_walking_the_program(self):
         # the purity check reads a flag set at construction, so the first
@@ -149,7 +149,21 @@ class TestCompileOnFirstEntry:
         log = run_events(eval_res(stmt, EMPTY), [], 10**4)
         assert log[-1] == ("ret", EMPTY.upd(0, 1000).upd(1, 499500))
         loop = stmt.second
-        assert compiled == [stmt, loop, loop.body, loop.body.second]
+        assert compiled == [stmt.first, loop, loop.body.first, loop.body.second]
+
+    def test_the_rest_of_an_output_is_compiled_once_however_often_called(self, compiled):
+        # the out observation is made before its rest is compiled, so it
+        # holds the stub; a checker may call that pair more than once
+        stmt, _ = parse("output 5 ; x := 2")
+        obs = resumption._raw(eval_res(stmt, EMPTY))
+        assert obs[:2] == ("out", 5)
+        assert compiled == [stmt.first]
+        fn, s = obs[2], obs[3]
+        for _ in range(2):
+            delay = fn(s)
+            assert delay[0] == "delay" and delay[3] == EMPTY
+            assert delay[1](delay[2]) == ("ret", EMPTY.upd(0, 2))
+        assert compiled == [stmt.first, stmt.second]
 
     @pytest.fixture
     def stepped(self, monkeypatch):
@@ -225,7 +239,8 @@ class TestCompileOnFirstEntry:
         log = run_events(eval_res(stmt, EMPTY), [], 100)
         assert log == [("delay",)] * 100 + [("truncated",)]
         body = stmt.body
-        assert compiled == [stmt, body, body.first.then, body.second, body.first.orelse]
+        assert compiled == [stmt, body.first, body.first.then, body.second,
+                            body.first.orelse]
 
     @pytest.mark.parametrize("interp", [eval_res, norm_res])
     def test_a_node_compiled_in_one_sort_is_refused_in_the_other(self, interp):

@@ -324,6 +324,30 @@ class TestDriver:
             assert a == b
 
 
+class TestFuel:
+    """Every run reads its fuel the same way: an int of at least 0."""
+
+    def runs(self):
+        stmt = ast("x := 1 ; x := 2 ; x := 3")
+        return [
+            lambda fuel: run_events(eval_res(stmt, EMPTY), [], fuel),
+            lambda fuel: take(eval_trace(stmt, EMPTY), fuel),
+            lambda fuel: trace_eq(eval_trace(stmt, EMPTY), norm(stmt, EMPTY), fuel),
+        ]
+
+    @pytest.mark.parametrize("fuel", [2.5, 2.0])
+    def test_a_fuel_that_is_not_an_int_is_refused(self, fuel):
+        for run in self.runs():
+            with pytest.raises(TypeError):
+                run(fuel)
+
+    @pytest.mark.parametrize("fuel", [-1, -10**20])
+    def test_a_negative_fuel_is_refused(self, fuel):
+        for run in self.runs():
+            with pytest.raises(ValueError, match="fuel must be non-negative"):
+                run(fuel)
+
+
 class TestProperties:
     def test_big_small_agreement(self):
         rng = random.Random(77)
