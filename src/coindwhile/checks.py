@@ -9,7 +9,9 @@ only mean "no counterexample within the bounds".
 
 delay_bisim and responsive share one search, _search: a depth-first walk
 on an explicit stack that counts one node per visit, so the depth budget
-costs no recursion. delay_bisim and replay_witness share one rule for
+costs no recursion. Both find a head by _strip, under at most D delays
+(the delay or latency budget), so a node costs at most D + 1 observations
+per resumption. delay_bisim and replay_witness share one rule for
 matching the heads of a pair, _pair_step. They step each resumption as
 a raw pair (fn, arg) rooted at (_raw, r) (see ``resumption._raw``), and
 make no ``Res``; a node of delay_bisim is a pair of such pairs.
@@ -87,7 +89,7 @@ def _checked(input_sample, *budgets: int) -> tuple:
 class BisimConfig(Record):
     __slots__ = __match_args__ = ("delay_budget", "depth_budget", "input_sample")
 
-    def __init__(self, delay_budget: int = 16, depth_budget: int = 64,
+    def __init__(self, delay_budget: int = 288, depth_budget: int = 64,
                  input_sample: tuple = (0, 1, -1)):
         self.input_sample, self.delay_budget, self.depth_budget = _checked(
             input_sample, delay_budget, depth_budget)
@@ -166,30 +168,20 @@ def _head_desc(head: tuple):
 def _pair_step(delay_budget: int, sample: tuple, pair: tuple, path: list):
     """Resolve the heads of a pair of resumptions and match them.
 
-    Each side is stripped of up to D = delay_budget delays. When both are
-    still delaying, they sync: each moves past the delay after its first
-    D, a window of D + 1 delays, and stripping restarts, at most D times.
-    So a head under p delays is reached after p // (D + 1) syncs, and the
-    two heads are matched iff both sides reach theirs after the same
-    number, at most D: up to (D + 1)^2 - 1 delays per side. Returns the
-    ordered (step, pair) successors, one per sample value for two inputs,
-    one for equal outputs and none for equal final states; otherwise the
-    verdict at path, Distinguished or BudgetExhausted("delay").
+    Each side is stripped once of up to D = delay_budget delays, so a head
+    is reached iff at most D delays lead it, as in responsive, and a node
+    costs at most 2(D + 1) observations. Returns the ordered (step, pair)
+    successors, one per sample value for two inputs, one for equal
+    outputs and none for equal final states; otherwise the verdict at
+    path, Distinguished or, when either side is still delaying,
+    BudgetExhausted("delay").
     """
-    (f0, a0), (f1, a1) = pair
-    syncs = 0
-    while True:
-        h0 = _strip(f0, a0, delay_budget)
-        h1 = _strip(f1, a1, delay_budget)
-        if h0[0] != "delay" and h1[0] != "delay":
-            break
-        if h0[0] != h1[0] or syncs >= delay_budget:
-            return BudgetExhausted("delay", tuple(path))
-        f0, a0, f1, a1 = h0[1], h0[2], h1[1], h1[2]
-        syncs += 1
+    h0 = _strip(*pair[0], delay_budget)
+    h1 = _strip(*pair[1], delay_budget)
+    if h0[0] == "delay" or h1[0] == "delay":
+        return BudgetExhausted("delay", tuple(path))
     if h0[0] == h1[0] == "in":
-        f0, a0, f1, a1 = h0[1], h0[2], h1[1], h1[2]
-        return [(("in", v), ((f0, (a0, v)), (f1, (a1, v)))) for v in sample]
+        return [(("in", v), ((h0[1], (h0[2], v)), (h1[1], (h1[2], v)))) for v in sample]
     if h0[0] != h1[0] or h0[1] != h1[1]:
         return Distinguished((*path, ("mismatch", _head_desc(h0), _head_desc(h1))))
     if h0[0] == "out":
@@ -200,9 +192,10 @@ def _pair_step(delay_budget: int, sample: tuple, pair: tuple, path: list):
 def delay_bisim(r0: Res, r1: Res, cfg: BisimConfig = BisimConfig()) -> Verdict:
     """Bounded check of termination-sensitive delay-bisimilarity.
 
-    Heads are matched modulo finite delays: equal final states, matching
-    input branching (probed pointwise on cfg.input_sample), or equal output
-    values; successors are explored to cfg.depth_budget unfoldings, and at
+    Heads are matched modulo at most cfg.delay_budget delays before each
+    head, on each side: equal final states, matching input branching
+    (probed pointwise on cfg.input_sample), or equal output values;
+    successors are explored to cfg.depth_budget unfoldings, and at
     most NODE_BUDGET pairs are explored in all.
     """
     expand = partial(_pair_step, cfg.delay_budget, cfg.input_sample)

@@ -408,20 +408,23 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--init", default="")
     cmp_.set_defaults(func=_cmd_compare)
 
+    cfg = checks.BisimConfig()  # the checkers' defaults
     bis = sub.add_parser("bisim", help="check two programs for delay-bisimilarity")
     bis.add_argument("file_a")
     bis.add_argument("file_b")
-    bis.add_argument("--delay-budget", type=_at_least(1), default=16)
-    bis.add_argument("--depth-budget", type=_at_least(1), default=64)
-    bis.add_argument("--sample", type=_sample, default="0,1,-1",
+    bis.add_argument("--delay-budget", type=_at_least(1), default=cfg.delay_budget,
+                     help="most delays before each head, on each side")
+    bis.add_argument("--depth-budget", type=_at_least(1), default=cfg.depth_budget)
+    bis.add_argument("--sample", type=_sample, default=cfg.input_sample,
                      help="input values used to probe input branching")
     bis.set_defaults(func=_cmd_bisim)
 
     rsp = sub.add_parser("responsive", help="check a program for responsiveness")
     rsp.add_argument("file")
-    rsp.add_argument("--latency-budget", type=_at_least(1), default=8)
-    rsp.add_argument("--depth-budget", type=_at_least(1), default=64)
-    rsp.add_argument("--sample", type=_sample, default="0,1,-1")
+    rsp.add_argument("--latency-budget", type=_at_least(1), default=8,
+                     help="most delays before each head")
+    rsp.add_argument("--depth-budget", type=_at_least(1), default=cfg.depth_budget)
+    rsp.add_argument("--sample", type=_sample, default=cfg.input_sample)
     rsp.set_defaults(func=_cmd_responsive)
 
     par = sub.add_parser("parse", help="parse and pretty-print a program")

@@ -577,6 +577,8 @@ def map_variables(stmt: Stmt, f: Callable[[Var], Var]) -> Stmt:
     in source order. A node under which no index changes is returned as it
     is. The walk is post-order on an explicit stack, so a deep tree does not
     recurse."""
+    if type(stmt) is tuple:  # the walk's own markers below are tuples
+        raise TypeError(repr(stmt))
     done = []  # mapped nodes whose parent is not built yet, left to right
     todo = [stmt]
     while todo:

@@ -132,12 +132,11 @@ class TestFlatMemory:
         assert verdict == LatencyExceeded(())
         assert peak < FLAT, peak
 
-    def test_bisim_syncs_long_stretches_in_flat_memory(self):
-        # D syncs, each skipping a window of D + 1 delays, then one more
-        # strip: (D + 1)^2 delays per side, none of them kept
+    def test_bisim_strips_long_stretches_in_flat_memory(self):
+        # each side is stripped of D + 1 delays, none of them kept
         r0, r1 = eval_res(ast(LOOP), EMPTY), norm_res(ast(LOOP), EMPTY)
         peak, verdict = peak_bytes(
-            lambda: delay_bisim(r0, r1, BisimConfig(delay_budget=200)))
+            lambda: delay_bisim(r0, r1, BisimConfig(delay_budget=10**5)))
         assert verdict == BudgetExhausted("delay")
         assert peak < FLAT, peak
 
@@ -300,22 +299,37 @@ def delays(p):
     return r
 
 
-class TestDelayWindow:
-    # each side is stripped of up to D delays, and each sync skips a
-    # window of D + 1, at most D times: a head under p delays is reached
-    # after p // (D + 1) syncs, so up to (D + 1)^2 - 1 delays per side
+class TestDelayBudget:
+    # D bounds the delays before each head, on each side, as the latency
+    # budget does for responsive
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_heads_match_iff_reached_after_the_same_syncs(self, d):
+    def test_heads_match_iff_each_is_under_at_most_d_delays(self, d):
         cfg = BisimConfig(delay_budget=d, depth_budget=4, input_sample=(0,))
-        window = d + 1
-        for p0 in range(window**2 + 2):
-            for p1 in range(window**2 + 2):
+        for p0 in range(d + 3):
+            for p1 in range(d + 3):
                 verdict = delay_bisim(delays(p0), delays(p1), cfg)
-                if p0 // window == p1 // window <= d:
+                if p0 <= d and p1 <= d:
                     assert verdict == EquivalentUpToBounds(), (p0, p1)
                 else:
                     assert verdict == BudgetExhausted("delay"), (p0, p1)
+
+    @pytest.mark.parametrize("d", [1, 100, 10**5])
+    def test_a_query_computes_d_plus_1_observations_per_side(self, d):
+        # a pair that delays forever and counts its observations
+        calls = [0]
+
+        def f(n):
+            calls[0] += 1
+            return ("delay", f, n + 1, None)
+
+        r = Res(f, 0)
+        cfg = BisimConfig(delay_budget=d, depth_budget=4, input_sample=(0,))
+        assert delay_bisim(r, r, cfg) == BudgetExhausted("delay")
+        assert calls[0] == 2 * (d + 1)
+        calls[0] = 0
+        assert responsive(r, d, 4, (0,)) == LatencyExceeded(())
+        assert calls[0] == d + 1
 
 
 class TestNoCells:

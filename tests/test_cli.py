@@ -552,6 +552,16 @@ class TestBisim:
         assert status == 5
         assert lines[0].startswith("budget exhausted (delay)")
 
+    @pytest.mark.parametrize("out_b, status", [("x", 0), ("x + 1", 4)])
+    def test_a_ten_iteration_loop_at_the_default_budget(self, capsys, tmp_path,
+                                                         out_b, status):
+        # 22 delays lead the output
+        loop = "x := 0 ; while x <= 9 do x := x + 1 od ; output "
+        a, b = tmp_path / "a.whl", tmp_path / "b.whl"
+        a.write_text(loop + "x\n")
+        b.write_text(loop + out_b + "\n")
+        assert run_cli(capsys, "bisim", str(a), str(b))[0] == status
+
     def test_a_repeated_sample_value_is_probed_once(self, capsys):
         for sample in ("0", "0,0,0,0,0,0"):
             status, lines = run_cli(capsys, "bisim", ECHO, ECHO, "--sample", sample)

@@ -395,6 +395,13 @@ class TestStmtUtils:
         assert mapped.first is stmt.first
         assert mapped.second.first is stmt.second.first
 
+    def test_map_variables_refuses_what_is_not_a_node(self):
+        # a tuple is refused as any other non-node is, though the walk's
+        # own markers are tuples
+        for bad in (42, (1, 2), ()):
+            with pytest.raises(TypeError):
+                map_variables(bad, lambda i: i)
+
     def test_map_variables_on_a_deep_while_nest(self):
         stmt = Assign(0, Add(VarRef(1), NumLit(1)))
         want = Assign(10, Add(VarRef(11), NumLit(1)))
