@@ -1,6 +1,7 @@
 """Command-line interface: output formats and the exit-status contract."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -656,9 +657,39 @@ class TestStartUp:
         # found through PYTHONPATH alone
         package = Path(main.__code__.co_filename).resolve().parent.parent
         code = "import coindwhile.cli, sys; assert 'typing' not in sys.modules"
-        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+        # -B: this env drops PYTHONDONTWRITEBYTECODE, and the child must not
+        # leave bytecode caches in src/, which later commands would read
+        proc = subprocess.run([sys.executable, "-S", "-B", "-c", code], capture_output=True,
                               text=True, timeout=30, env={"PYTHONPATH": str(package)})
         assert proc.returncode == 0, proc.stderr
+
+
+class TestExit:
+    def test_entry_freezes_the_heap_and_still_flushes(self):
+        # entry() freezes the heap before sys.exit, so the final collection
+        # skips it; an atexit handler still runs after that, and its output
+        # and the command's are both flushed
+        code = (
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            f"sys.argv = ['coindwhile', 'run', {COUNTER!r}]\n"
+            "from coindwhile.cli import entry\n"
+            "entry()\n"
+        )
+        proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True,
+                              text=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "{}", "{x=3}", "{x=3}", "{x=2}", "{x=2}",
+            "{x=1}", "{x=1}", "{}", "{}", "ended", "frozen True",
+        ]
+        assert proc.stderr == ""
+
+    def test_main_leaves_the_collector_alone(self, capsys):
+        before = gc.get_freeze_count()
+        status, _ = run_cli(capsys, "run", COUNTER)
+        assert status == 0
+        assert gc.get_freeze_count() == before
 
 
 class TestPublicSurface:
