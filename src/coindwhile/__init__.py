@@ -25,7 +25,7 @@ from .resumption import (
     rep_fast,
     run_events,
 )
-from .syntax import State, aexp, bexp, is_pure, wrap
+from .syntax import State, is_pure, wrap
 from .trace import (
     ImpureProgramError,
     Trace,
@@ -49,8 +49,6 @@ __all__ = [
     "State",
     "Trace",
     "TracePrefix",
-    "aexp",
-    "bexp",
     "bot",
     "delay_bisim",
     "echo",

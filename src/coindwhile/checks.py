@@ -253,8 +253,10 @@ def responsive(
 
 
 def trace_eq(t0: Trace, t1: Trace, fuel: int) -> Verdict:
-    """Lock-step comparison of two traces up to fuel delay observations;
-    fuel is an int of at least 0, and fuel 0 compares the first observation.
+    """Lock-step comparison of two traces on what ``take`` shows of them:
+    EquivalentUpToBounds iff ``take(t0, fuel) == take(t1, fuel)``. fuel is
+    an int of at least 0. Of the fuel + 1 observations compared, the last
+    shows no state if it is a delay, so any two delays agree there.
 
     A Distinguished witness is (index, left, right) where left/right
     describe the first disagreeing observation as ("nil", s) or
@@ -266,11 +268,12 @@ def trace_eq(t0: Trace, t1: Trace, fuel: int) -> Verdict:
 
     # step raw observations, as trace.walk does: no Res is made
     f0, a0, f1, a1 = _raw, t0._res, _raw, t1._res
-    for i in range(_fuel(fuel) + 1):
+    last = _fuel(fuel)
+    for i in range(last + 1):
         o0 = f0(a0)
         o1 = f1(a1)
         if o0[0] == "delay":
-            if o1[0] == "delay" and o0[3] == o1[3]:
+            if o1[0] == "delay" and (o0[3] == o1[3] or i == last):
                 f0, a0, f1, a1 = o0[1], o0[2], o1[1], o1[2]
                 continue
         elif o1[0] != "delay" and _final(o0) == _final(o1):

@@ -150,36 +150,35 @@ def _cmd_run(args) -> int:
     init = _parse_init(args.init, names)
     pure = is_pure(stmt)
     emit = args.emit or ("states" if pure else "events")
+    if emit == "states" and not pure:
+        raise CliError("states output requires a program without input/output")
 
-    if emit == "states":
-        if not pure:
-            raise CliError("states output requires a program without input/output")
-        return _run_states(stmt, names, init, args)
-    if emit == "summary":
-        return _run_summary(stmt, names, init, args)
-    return _run_events(stmt, names, init, args)
-
-
-def _res_for(stmt, init, mode):
-    if mode == "big":
-        return resumption.eval_res(stmt, init)
-    return resumption.norm_res(stmt, init)
-
-
-def _run_states(stmt, names, init, args) -> int:
+    res = (resumption.eval_res if args.mode == "big" else resumption.norm_res)(stmt, init)
     render = _Render(names, args.json)
-    state, lines = render.state, []
-    # the program is pure, so its resumption is a trace; trace.walk yields
-    # the states, then None if the fuel ran out
-    for s in trace.walk(trace.Trace(_res_for(stmt, init, args.mode)), args.fuel):
-        if s is None:
+    # unless events are asked for, a pure program's resumption is walked as
+    # a trace: its states, then None if the fuel ran out; other runs drive
+    walking = pure and emit != "events"
+    if walking:
+        stream, line = trace.walk(trace.Trace(res), args.fuel), render.state
+    else:
+        stream, line = resumption.drive(res, _input_source(args), args.fuel), render.event
+    if emit == "summary":
+        return _run_summary(stream, walking, render, args.json)
+
+    lines = []
+    # a person typing the inputs must see each line before the next prompt
+    chunk = 1 if args.interactive else CHUNK_LINES
+    for obs in stream:
+        if obs is None:
             break
-        lines.append(state(s))
-        if len(lines) == CHUNK_LINES:
+        lines.append(line(obs))
+        if len(lines) == chunk:
             _write(lines)
-    lines.append(render.event(("truncated",) if s is None else ("ended",)))
+    if walking:  # a trace's last line says whether it ended
+        obs = ("truncated",) if obs is None else ("ended",)
+        lines.append(render.event(obs))
     _write(lines)
-    return EXIT_OK if s is not None else EXIT_TRUNCATED
+    return _EVENT_EXIT.get(obs[0], EXIT_OK)
 
 
 def _input_source(args):
@@ -199,48 +198,33 @@ def _input_source(args):
     return lambda: next(script, None)
 
 
-def _run_events(stmt, names, init, args) -> int:
-    event, lines = _Render(names, args.json).event, []
-    # a person typing the inputs must see each line before the next prompt
-    chunk = 1 if args.interactive else CHUNK_LINES
-    for ev in resumption.drive(_res_for(stmt, init, args.mode),
-                               _input_source(args), args.fuel):
-        lines.append(event(ev))
-        if len(lines) == chunk:
-            _write(lines)
-    _write(lines)
-    return _EVENT_EXIT.get(ev[0], EXIT_OK)
-
-
-def _run_summary(stmt, names, init, args) -> int:
-    # observations are counted as they stream, so memory stays flat in fuel
-    if is_pure(stmt):
+def _run_summary(stream, walking: bool, render: _Render, as_json: bool) -> int:
+    """Print the run's status, its count of states (a trace) or of each kind
+    of event, then its final state if it has one, on one line: as
+    name=value pairs, or as one JSON object. The counts are kept as the
+    stream runs, so memory stays flat in fuel."""
+    if walking:
         steps = 0
-        for s in trace.walk(trace.Trace(_res_for(stmt, init, args.mode)), args.fuel):
+        for s in stream:
             steps += s is not None
         status = "truncated" if s is None else "ended"
-        _print_summary({"status": status, "steps": steps}, s, names, args.json)
-        return EXIT_TRUNCATED if s is None else EXIT_OK
-    counts = {"in": 0, "out": 0, "delay": 0}
-    for last in resumption.drive(_res_for(stmt, init, args.mode),
-                                 _input_source(args), args.fuel):
-        if last[0] in counts:
-            counts[last[0]] += 1
-    s = last[1] if last[0] == "ret" else None
-    _print_summary({"status": last[0], **counts}, s, names, args.json)
-    return _EVENT_EXIT.get(last[0], EXIT_OK)
-
-
-def _print_summary(fields: dict, s, names: NameTable, as_json: bool) -> None:
-    """Print the fields, then the final state s unless it is None, on one
-    line: as name=value pairs, or as one JSON object."""
+        fields = {"status": status, "steps": steps}
+    else:
+        counts = {"in": 0, "out": 0, "delay": 0}
+        for last in stream:
+            if last[0] in counts:
+                counts[last[0]] += 1
+        status = last[0]
+        s = last[1] if status == "ret" else None
+        fields = {"status": status, **counts}
     if s is not None:
-        fields["state"] = _Render(names, as_json).state(s, "{%s}")
+        fields["state"] = render.state(s, "{%s}")
     if as_json:
-        fields["status"] = f'"{fields["status"]}"'  # a tag: no character to escape
+        fields["status"] = f'"{status}"'  # a tag: no character to escape
         print("{%s}" % ", ".join(f'"{k}": {v}' for k, v in fields.items()))
     else:
         print(" ".join(f"{k}={v}" for k, v in fields.items()))
+    return _EVENT_EXIT.get(status, EXIT_OK)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Abstract syntax, states, and expression evaluation for the While language
-(with input/output statements), and the slotted record base classes that
-the syntax nodes, configurations and verdicts share."""
+"""Abstract syntax, states, and expression compilation for the While
+language (with input/output statements), and the slotted record base
+classes that the syntax nodes, configurations and verdicts share. The
+recursive reference evaluators of expressions live in tests/paper.py."""
 
 from __future__ import annotations
 
@@ -373,64 +374,14 @@ class State(tuple):
 
 
 # ---------------------------------------------------------------------------
-# expression evaluation (total; arithmetic wraps at 64 bits)
-
-
-def aexp(a: AExp, s: State) -> Val:
-    t = type(a)
-    if t is VarRef:
-        x = a.var
-        return s[x] if x < len(s) else 0
-    if t is NumLit:
-        return (a.value + _HALF) % _MOD - _HALF
-    if t is Add:
-        return (aexp(a.left, s) + aexp(a.right, s) + _HALF) % _MOD - _HALF
-    if t is Sub:
-        return (aexp(a.left, s) - aexp(a.right, s) + _HALF) % _MOD - _HALF
-    if t is Mul:
-        return (aexp(a.left, s) * aexp(a.right, s) + _HALF) % _MOD - _HALF
-    raise TypeError(f"not an arithmetic expression: {a!r}")
-
-
-def strip_nots(b: BExp) -> tuple[int, BExp]:
-    """The number of Not nodes that b starts with, and the expression under
-    them. A loop, so that a long chain of negations costs no recursion in
-    bexp or compile_bexp."""
-    n = 0
-    while type(b) is Not:
-        n += 1
-        b = b.operand
-    return n, b
-
-
-def bexp(b: BExp, s: State) -> bool:
-    t = type(b)
-    if t is Le:
-        return aexp(b.left, s) <= aexp(b.right, s)
-    if t is Eq:
-        return aexp(b.left, s) == aexp(b.right, s)
-    if t is TrueLit:
-        return True
-    if t is FalseLit:
-        return False
-    if t is Not:
-        n, b = strip_nots(b)
-        return bexp(b, s) if n % 2 == 0 else not bexp(b, s)
-    if t is And:
-        return bexp(b.left, s) and bexp(b.right, s)
-    if t is Or:
-        return bexp(b.left, s) or bexp(b.right, s)
-    raise TypeError(f"not a boolean expression: {b!r}")
-
-
-# ---------------------------------------------------------------------------
 # compilation to closures
 #
 # Each expression node is compiled once into a closure State -> value, kept
-# on the node, so that evaluating it does no dispatch on syntax; the results
-# equal aexp/bexp. Both interpreters evaluate through these closures. A
-# binary node reads a leaf operand inline, so it costs one call whatever
-# its operands.
+# on the node, so that evaluating it does no dispatch on syntax. These
+# closures are the library's one expression evaluator: both interpreters
+# run them, and tests/paper.py holds the recursive reference they are
+# checked against. A binary node reads a leaf operand inline, so it costs
+# one call whatever its operands.
 
 
 def _leaf(a):
@@ -542,9 +493,12 @@ def compile_bexp(b: BExp) -> Callable[[State], bool]:
         l, r = b.left, b.right
         f = _binary(t, _leaf(l) or compile_aexp(l), _leaf(r) or compile_aexp(r))
     elif t is Not:
-        n, x = strip_nots(b)
+        # a loop over the chain of nots, so that a long one costs no recursion
+        x, negate = b.operand, True
+        while type(x) is Not:
+            x, negate = x.operand, not negate
         x = compile_bexp(x)
-        f = x if n % 2 == 0 else lambda s: not x(s)
+        f = (lambda s: not x(s)) if negate else x
     elif t is And or t is Or:
         l, r = compile_bexp(b.left), compile_bexp(b.right)
         f = (lambda s: l(s) and r(s)) if t is And else (lambda s: l(s) or r(s))
@@ -626,10 +580,3 @@ def map_variables(stmt: Stmt, f: Callable[[Var], Var]) -> Stmt:
         else:
             raise TypeError(repr(n))
     return done[0]
-
-
-def variables(stmt: Stmt) -> set[Var]:
-    """All variable indices occurring in stmt."""
-    seen: set[Var] = set()
-    map_variables(stmt, lambda x: (seen.add(x), x)[1])
-    return seen

@@ -1,4 +1,11 @@
-"""The paper's two semantics, written the way the paper writes them.
+"""The paper's two semantics, written the way the paper writes them, and
+its evaluation of expressions.
+
+Expressions: ``aexp`` and ``bexp``, the recursive reference evaluators,
+total functions from states to values. The library evaluates expressions
+only through the closures of ``syntax.compile_aexp`` and
+``syntax.compile_bexp``, and ``tests/test_syntax.py`` checks those against
+these. ``variables`` lists the variables of a statement.
 
 Big-step: the sequencing and loop combinators on resumptions
 (``seque_res``, ``loop_res``, ``loopseq_res``), their views on traces
@@ -11,11 +18,11 @@ These are the references that the tests compare ``eval_res`` and
 paper's theorem that big-step and small-step semantics agree. The library
 runs compiled big-step code (``resumption._compile``) and a small step that
 keeps its context as a stack (``resumption._resume``) instead. Both
-references evaluate expressions with the reference evaluators ``aexp`` and
-``bexp``, so they share no code with either interpreter beyond ``Res`` and
-``State``. An observation passes through one combinator, or one
-``red_ref`` call, per level of statement nesting, so they recurse as
-deeply as the program nests: this is for small programs.
+references evaluate expressions with ``aexp`` and ``bexp``, so they share
+no code with either interpreter beyond ``Res`` and ``State``. An
+observation passes through one combinator, or one ``red_ref`` call, per
+level of statement nesting, so they recurse as deeply as the program
+nests: this is for small programs.
 """
 
 from __future__ import annotations
@@ -24,19 +31,94 @@ from collections.abc import Callable
 
 from coindwhile.resumption import Res
 from coindwhile.syntax import (
+    Add,
+    AExp,
+    And,
     Assign,
+    BExp,
+    Eq,
+    FalseLit,
     If,
     Input,
+    Le,
+    Mul,
+    Not,
+    NumLit,
+    Or,
     Output,
     Seq,
     Skip,
     State,
     Stmt,
+    Sub,
+    TrueLit,
+    Val,
+    Var,
+    VarRef,
     While,
-    aexp,
-    bexp,
+    map_variables,
 )
 from coindwhile.trace import Trace
+
+
+# ---------------------------------------------------------------------------
+# expression evaluation (total; arithmetic wraps at 64 bits)
+
+
+def _wrap(n: int) -> Val:
+    """n as a signed 64-bit value, written out here rather than taken from
+    syntax.wrap, so that the reference shares no arithmetic with the
+    compiled closures."""
+    return (n + (1 << 63)) % (1 << 64) - (1 << 63)
+
+
+def aexp(a: AExp, s: State) -> Val:
+    t = type(a)
+    if t is VarRef:
+        return s.lkp(a.var)
+    if t is NumLit:
+        return _wrap(a.value)
+    if t is Add:
+        return _wrap(aexp(a.left, s) + aexp(a.right, s))
+    if t is Sub:
+        return _wrap(aexp(a.left, s) - aexp(a.right, s))
+    if t is Mul:
+        return _wrap(aexp(a.left, s) * aexp(a.right, s))
+    raise TypeError(f"not an arithmetic expression: {a!r}")
+
+
+def bexp(b: BExp, s: State) -> bool:
+    t = type(b)
+    if t is Le:
+        return aexp(b.left, s) <= aexp(b.right, s)
+    if t is Eq:
+        return aexp(b.left, s) == aexp(b.right, s)
+    if t is TrueLit:
+        return True
+    if t is FalseLit:
+        return False
+    if t is Not:
+        # a loop over the chain of nots, so that a long one costs no recursion
+        negate = False
+        while type(b) is Not:
+            b, negate = b.operand, not negate
+        return not bexp(b, s) if negate else bexp(b, s)
+    if t is And:
+        return bexp(b.left, s) and bexp(b.right, s)
+    if t is Or:
+        return bexp(b.left, s) or bexp(b.right, s)
+    raise TypeError(f"not a boolean expression: {b!r}")
+
+
+def variables(stmt: Stmt) -> set[Var]:
+    """All variable indices occurring in stmt."""
+    seen: set[Var] = set()
+    map_variables(stmt, lambda x: (seen.add(x), x)[1])
+    return seen
+
+
+# ---------------------------------------------------------------------------
+# big-step semantics
 
 
 def seque_res(k: Callable[[State], Res], r: Res) -> Res:

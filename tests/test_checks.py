@@ -32,8 +32,8 @@ from coindwhile.resumption import (
     rep,
     rep_fast,
 )
-from coindwhile.syntax import Assign, NumLit, Skip, State
-from coindwhile.trace import eval_trace, norm
+from coindwhile.syntax import Assign, NumLit, Seq, Skip, State
+from coindwhile.trace import eval_trace, norm, take
 
 from gen import gen_state, gen_stmt
 from test_resumption import cells_built
@@ -508,6 +508,30 @@ class TestTraceEq:
             trace_eq(t0, t1, -1)
         with pytest.raises(TypeError):
             trace_eq(t0, t1, 1.0)
+
+    def test_the_last_delay_shows_no_state(self):
+        # take(t, 2) shows the states of two delays and no more, so a third
+        # observation that is a delay agrees whatever its state
+        t0 = eval_trace(ast("x := 1 ; x := 2 ; x := 3"), EMPTY)
+        t1 = eval_trace(ast("x := 1 ; x := 7 ; x := 3"), EMPTY)
+        assert take(t0, 2) == take(t1, 2)
+        assert trace_eq(t0, t1, 2) == EquivalentUpToBounds()
+        assert trace_eq(t0, t1, 3) == Distinguished(
+            (2, ("delay", State({0: 2})), ("delay", State({0: 7}))))
+
+    def test_equivalent_iff_take_agrees(self):
+        # random pairs, and pairs that share a first statement so that
+        # their traces agree for a while and then part
+        rng = random.Random(59)
+        for _ in range(60):
+            p, q0, q1 = gen_stmt(rng, 4), gen_stmt(rng, 4), gen_stmt(rng, 4)
+            s = gen_state(rng)
+            for a, b in ((p, q0), (Seq(p, q0), Seq(p, q1))):
+                for fuel in range(9):
+                    t0, t1 = eval_trace(a, s), eval_trace(b, s)
+                    same = take(t0, fuel) == take(t1, fuel)
+                    verdict = trace_eq(t0, t1, fuel)
+                    assert (verdict == EquivalentUpToBounds()) is same, (a, b, fuel)
 
     def test_witness_index_points_at_first_disagreement(self):
         t0 = eval_trace(ast("x := 1 ; x := 2"), EMPTY)

@@ -714,6 +714,18 @@ class TestPublicSurface:
         assert not hasattr(trace, "red") and not hasattr(resumption, "red_res")
         assert not hasattr(checks, "StripResult") and not hasattr(checks, "strip_delays")
 
+    def test_the_reference_evaluators_are_gone(self):
+        # expressions run through syntax.compile_aexp/compile_bexp; aexp,
+        # bexp and variables are the tests' references, in tests/paper.py
+        import coindwhile
+        from coindwhile import syntax
+
+        for name in ("aexp", "bexp", "strip_nots", "variables"):
+            assert name not in coindwhile.__all__
+            assert not hasattr(coindwhile, name), name
+            assert not hasattr(syntax, name), name
+        assert callable(syntax.map_variables)
+
 
 class TestInteractive:
     def test_prompts_on_stderr_reads_stdin(self):

@@ -1,4 +1,5 @@
-"""States, expression evaluation, and the wrap-around value domain."""
+"""States, expression evaluation (the compiled closures against the
+reference evaluators of tests/paper.py), and the wrap-around value domain."""
 
 import itertools
 import pickle
@@ -31,19 +32,17 @@ from coindwhile.syntax import (
     Eq,
     VarRef,
     While,
-    aexp,
-    bexp,
     compile_aexp,
     compile_bexp,
     is_pure,
     map_variables,
-    variables,
     wrap,
 )
 
 from coindwhile.parse import parse
 
 from gen import gen_aexp, gen_bexp, gen_state
+from paper import aexp, bexp, variables
 
 EMPTY = State.empty()
 
