@@ -116,7 +116,9 @@ class _Render:
                                                   for i in order if s[i]])
 
     def event(self, ev: tuple) -> str:
-        """An event line; also a witness step such as ("in",) or ("still",)."""
+        """An event line of drive; also a step of a checker's path, ("in", v)
+        or ("out", v), and a head of its mismatch: ("in",), ("out", v) or
+        ("ret", state)."""
         if ev[0] == "ret":
             return self.state(ev[1], self._ret)
         return (self._tag if len(ev) == 1 else self._value) % ev

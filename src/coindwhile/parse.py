@@ -142,12 +142,6 @@ class NameTable:
     def index_of(self, name: str) -> Var:
         return self._index[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
-
-    def __len__(self) -> int:
-        return len(self._names)
-
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(self._names)

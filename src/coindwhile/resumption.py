@@ -21,15 +21,15 @@ A resumption is a suspension ``Res(fn, arg)``, and ``fn(arg)`` is its
 observation in raw form, each rest a function and its argument:
 ``("out", value, fn, arg)`` and ``("delay", fn, arg, state)``. An input
 ``("in", fn, arg)`` that reads v leaves the rest ``fn`` with the argument
-``(arg, v)``. ``step()`` makes that call and puts the rest in a new
-``Res``, or for an input gives a continuation that makes one per call. It
-caches nothing: stepping a held resumption again computes its observation
-again, and a held resumption keeps none of the run it has shown. Every run
-the library makes (``drive``, ``trace.walk`` and the checkers in
-``checks``) calls the pairs itself and makes no ``Res``; ``_raw(r)`` is
-r's observation in raw form. The stock constructors (``Res.delay`` and
-the rest) hold an observation already made, under the identity
-``_same``, with a rest ``r`` as the pair ``(_raw, r)``.
+``(arg, v)``. ``step()`` makes that call, and it alone puts a rest in a
+``Res``: a new one, or for an input a continuation that makes one per
+call. It caches nothing, so a held resumption keeps none of the run it
+has shown. Every run the library makes (``drive``, ``trace.walk`` and
+the checkers in ``checks``) calls the pairs itself from the root
+``(_raw, r)``, ``_raw(r)`` being r's observation in raw form, and makes
+no ``Res``. The stock constructors (``Res.delay`` and the rest) hold an
+observation already made, under the identity ``_same``, with a rest r as
+r's own pair ``(r._fn, r._arg)``, so every rest has one form.
 
 The big-step interpreter ``eval_res`` runs code made by ``_compile`` when a
 statement is first entered, so a run compiles only what it reaches. All
@@ -73,6 +73,7 @@ from .syntax import (
     While,
     compile_aexp,
     compile_bexp,
+    wrap,
 )
 
 
@@ -88,7 +89,14 @@ class Res:
         self._arg = arg
 
     def step(self) -> tuple:
-        return _cooked(self._fn(self._arg))
+        obs = self._fn(self._arg)
+        if obs[0] == "delay":
+            return ("delay", Res(obs[1], obs[2]), obs[3])
+        if obs[0] == "out":
+            return ("out", obs[1], Res(obs[2], obs[3]))
+        if obs[0] == "in":
+            return ("in", partial(_feed, obs[1], obs[2]))
+        return obs
 
     @staticmethod
     def ret(s: State) -> "Res":
@@ -100,11 +108,11 @@ class Res:
 
     @staticmethod
     def out(v: Val, rest: "Res") -> "Res":
-        return Res(_same, ("out", v, _raw, rest))
+        return Res(_same, ("out", v, rest._fn, rest._arg))
 
     @staticmethod
     def delay(rest: "Res", s: State | None = None) -> "Res":
-        return Res(_same, ("delay", _raw, rest, s))
+        return Res(_same, ("delay", rest._fn, rest._arg, s))
 
     @staticmethod
     def suspend(make: Callable[[], "Res"]) -> "Res":
@@ -117,22 +125,6 @@ def _raw(r: Res) -> tuple:
 
 
 def _same(obs: tuple) -> tuple:
-    return obs
-
-
-def _cooked(obs: tuple) -> tuple:
-    """The raw observation obs as step() returns it: its rest a Res, and
-    for an input, a continuation that makes one."""
-    tag = obs[0]
-    if tag == "delay":
-        fn, arg = obs[1], obs[2]
-        return ("delay", arg if fn is _raw else Res(fn, arg), obs[3])
-    if tag == "out":
-        fn, arg = obs[2], obs[3]
-        return ("out", obs[1], arg if fn is _raw else Res(fn, arg))
-    if tag == "in":
-        fn, arg = obs[1], obs[2]
-        return ("in", arg if fn is _apply else partial(_feed, fn, arg))
     return obs
 
 
@@ -406,16 +398,12 @@ def _fuel(fuel: int) -> int:
 
 def drive(r: Res, next_input: Callable[[], Val | None], fuel: int) -> Iterator[Event]:
     """Yield the events of running r; next_input() supplies input values
-    (None meaning no more input). Every delay, in, and out consumes one
-    fuel, an int of at least 0, checked by _fuel when the first event is
-    asked for; a terminal event always closes the stream. It steps raw
-    observations and makes no Res."""
-    fuel = _fuel(fuel)
+    (None meaning no more input), each shown as the program reads it. Every
+    delay, in, and out consumes one fuel, an int of at least 0, checked by
+    _fuel when the first event is asked for; a terminal event always closes
+    the stream. It steps raw observations and makes no Res."""
     fn, arg = _raw, r
-    while True:
-        if fuel <= 0:
-            yield ("truncated",)
-            return
+    for _ in range(_fuel(fuel)):
         obs = fn(arg)
         tag = obs[0]
         if tag == "delay":
@@ -429,12 +417,14 @@ def drive(r: Res, next_input: Callable[[], Val | None], fuel: int) -> Iterator[E
             if v is None:
                 yield ("input-exhausted",)
                 return
+            if type(v) is not int or v.bit_length() > 63:
+                v = wrap(v)  # a non-int raises TypeError
             yield ("in", v)
             fn, arg = obs[1], (obs[2], v)
         else:
             yield ("ret", obs[1])
             return
-        fuel -= 1
+    yield ("truncated",)
 
 
 def run_events(r: Res, script: Iterable[Val], fuel: int) -> list[Event]:

@@ -13,7 +13,10 @@ from coindwhile.checks import Distinguished, EquivalentUpToBounds, trace_eq
 from coindwhile.parse import parse
 from coindwhile.resumption import (
     Res,
+    _first_of,
+    _raw,
     bot,
+    drive,
     echo,
     echo_div,
     eval_res,
@@ -264,6 +267,28 @@ class TestStockResumptions:
         assert log == [("in", 1)] + [("delay",)] * 5 + [("truncated",)]
 
 
+class TestRestPairs:
+    """A stock constructor holds a rest as that resumption's own pair
+    (fn, arg), so a raw run of a stock divergence meets one pair again and
+    again."""
+
+    def assert_repeats_bot(self, fn, arg):
+        """Six raw steps from (fn, arg) are delays, each with the rest
+        (_first_of, bot), by identity."""
+        for _ in range(6):
+            obs = fn(arg)
+            fn, arg = obs[1], obs[2]
+            assert obs[0] == "delay" and fn is _first_of and arg is bot
+
+    def test_bot_repeats_one_pair(self):
+        self.assert_repeats_bot(_raw, bot())
+
+    def test_echo_div_repeats_one_pair_after_a_nonzero_input(self):
+        obs = _raw(echo_div())
+        assert obs[0] == "in"
+        self.assert_repeats_bot(obs[1], (obs[2], 1))
+
+
 INC_ECHO = "while tt do input x ; x := x + 1 ; output x od"
 
 
@@ -306,8 +331,15 @@ class TestDriver:
         r = interp(ast("input x ; output x"), EMPTY)
         with pytest.raises(TypeError):
             run_events(r, [3.7], 10)
+        # a float is refused where it is read: no ("in", 1.5) is shown
+        events = drive(r, iter([1.5]).__next__, 10)
+        with pytest.raises(TypeError):
+            next(events)
         log = run_events(r, [True], 10)
         assert log == [("in", True), ("out", 1), ("ret", State({0: 1}))]
+        # an input is shown as the program reads it, wrapped to 64 bits
+        log = run_events(r, [2**64 + 5], 10)
+        assert log == [("in", 5), ("out", 5), ("ret", State({0: 5}))]
 
     def test_input_exhaustion_is_terminal_not_an_error(self):
         log = run_events(eval_res(ast("input x ; input y"), EMPTY), [3], 32)
