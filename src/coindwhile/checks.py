@@ -208,10 +208,11 @@ def replay_witness(r0: Res, r1: Res, cfg: BisimConfig, witness: tuple) -> bool:
 
     Each step must be the only successor of the pair when its heads are
     probed with that step's value alone, so an input value need not lie in
-    cfg.input_sample.
+    cfg.input_sample; it is read wrapped to 64 bits, as drive reads it.
     """
     pair = ((_raw, r0), (_raw, r1))
     for step in witness[:-1]:
+        step = ("in", wrap(step[1])) if step[0] == "in" else step
         succ = _pair_step(cfg.delay_budget, step[1:], pair, [])
         if type(succ) is not list or len(succ) != 1 or succ[0][0] != step:
             return False

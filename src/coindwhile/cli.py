@@ -17,7 +17,7 @@ from itertools import zip_longest
 # import it makes, and most commands do not need it
 from . import checks, resumption, trace
 from .parse import KEYWORDS, NameTable, ParseError, parse, pretty
-from .syntax import State, is_pure, wrap
+from .syntax import State, is_pure
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -65,7 +65,7 @@ def _parse_init(text: str, names: NameTable) -> State:
         if not (name.isascii() and name.isidentifier()) or name in KEYWORDS:
             raise CliError(f"bad --init name: {name!r}")
         try:
-            v = wrap(int(value))
+            v = int(value)
         except ValueError:
             raise CliError(f"bad --init value: {value!r}")
         s = s.upd(names.intern(name), v)
@@ -192,7 +192,7 @@ def _input_source(args):
                 if not line:
                     return None
                 try:
-                    return wrap(int(line.strip()))
+                    return int(line.strip())
                 except ValueError:
                     print("please enter an integer", file=sys.stderr, flush=True)
         return next_input
@@ -356,7 +356,7 @@ def _values(text: str) -> tuple:
     if not text.strip():
         return ()
     try:
-        return tuple(wrap(int(part)) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"want comma-separated integers, got {text!r}")
 

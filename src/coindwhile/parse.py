@@ -387,7 +387,11 @@ def pretty(stmt: Stmt, names: NameTable) -> str:
         t = type(node)
         if ctx is None:
             if t is Seq:
-                todo += (node.second, None), " ; ", (node.first, None)
+                w = node.second  # repeat s until b is s ; while not b do s od, s shared
+                if type(w) is While and w.body is node.first and type(w.cond) is Not:
+                    todo += (w.cond.operand, 0), " until ", (w.body, None), "repeat "
+                else:
+                    todo += (w, None), " ; ", (node.first, None)
             elif t is Assign:
                 todo += (node.expr, 0), " := ", names.name_of(node.var)
             elif t is While:

@@ -21,7 +21,8 @@ A resumption is a suspension ``Res(fn, arg)``, and ``fn(arg)`` is its
 observation in raw form, each rest a function and its argument:
 ``("out", value, fn, arg)`` and ``("delay", fn, arg, state)``. An input
 ``("in", fn, arg)`` that reads v leaves the rest ``fn`` with the argument
-``(arg, v)``. ``step()`` makes that call, and it alone puts a rest in a
+``(arg, v)``, v wrapped where it enters a run (``drive``, the checkers,
+``step()``). ``step()`` calls ``fn(arg)``, and it alone puts a rest in a
 ``Res``: a new one, or for an input a continuation that makes one per
 call. It caches nothing, so a held resumption keeps none of the run it
 has shown. Every run the library makes (``drive``, ``trace.walk`` and
@@ -137,7 +138,7 @@ def _apply(fv: tuple) -> tuple:
 
 def _feed(fn: Callable[[tuple], tuple], arg: object, v: Val) -> Res:
     """The run after a raw input observation ("in", fn, arg) reads v."""
-    return Res(fn, (arg, v))
+    return Res(fn, (arg, wrap(v)))
 
 
 def _first_of(make: Callable[[], Res]) -> tuple:
@@ -293,7 +294,7 @@ def _compile(stmt: Stmt, ctx: Context) -> Code:
         # called any number of times: checkers probe and replay it
         def read(sv):
             s, v = sv
-            return rest[0](s.upd(x, v))
+            return rest[0](s._set(x, v))
 
         return lambda s: ("in", read, s)
     if t is Output:
@@ -373,7 +374,7 @@ def _read(cv: tuple) -> tuple:
     """The raw observation of the run after an input into x, waiting in
     the context k at the state s, reads v, for the pair ((x, k, s), v)."""
     (x, k, s), v = cv
-    return _resume((SKIP, k, s.upd(x, v)))
+    return _resume((SKIP, k, s._set(x, v)))
 
 
 # ---------------------------------------------------------------------------

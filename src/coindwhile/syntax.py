@@ -290,7 +290,7 @@ SKIP = Skip()
 # states
 
 
-_tuple = tuple.__new__  # a State from its canonical values, for upd's hot path
+_tuple = tuple.__new__  # a State from its canonical values, for _set's hot path
 
 
 class State(tuple):
@@ -325,14 +325,12 @@ class State(tuple):
         return self[x] if _index(x) < len(self) else 0
 
     def upd(self, x: Var, v: Val) -> "State":
-        if type(x) is not int or x < 0:
-            _index(x)  # raises
-        return self._set(x, (index(v) + _HALF) % _MOD - _HALF)
+        """The state with x bound to v, any int, wrapped to 64 bits."""
+        return self._set(_index(x), wrap(v))
 
     def _set(self, x: Var, v: Val) -> "State":
-        """upd for a variable index x and a value v already wrapped, as in
-        compiled assignments: the Assign node checked x, and the expression
-        closure wrapped v."""
+        """upd for a variable index x and a value v already wrapped, as the
+        interpreters store assignments and inputs (see resumption)."""
         if x < len(self):
             # a copy through a list: cheaper than slicing around x
             b = [*self]

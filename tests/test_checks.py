@@ -473,6 +473,9 @@ class TestReplayWitness:
         assert delay_bisim(r0, r1, self.CFG) == EquivalentUpToBounds()
         witness = (("in", 7), ("mismatch", ("out", 7), ("out", 0)))
         assert replay_witness(r0, r1, self.CFG, witness)
+        # a witness's input is read as the interpreters read it, wrapped
+        witness = (("in", 7 + 2**64), ("mismatch", ("out", 7), ("out", 0)))
+        assert replay_witness(r0, r1, self.CFG, witness)
 
 
 class TestTraceEq:

@@ -782,3 +782,55 @@ class TestInteractive:
                 proc.kill()
                 reader.join(timeout=30)
         assert not reader.is_alive()
+
+
+# (narrow, wide) pairs of one value: the command line passes a value on as
+# a plain int, and the library wraps it to 64 bits where it enters a run
+WIDE = [("0", str(2**64)), ("5", str(5 - 2**64)), ("-1", str(2**65 - 1)),
+        ("7", str(7 + 3 * 2**64))]
+READ7 = "input x ; output x"
+IS7 = "input x ; if x = 7 then output 0 else output x fi"
+STALL7 = "input x ; while x = 7 do skip od ; output x"
+
+
+class TestWideValues:
+    """A value past 64 bits prints exactly what its wrapped value prints:
+    the same stdout, stderr and status."""
+
+    @staticmethod
+    def cli(capsys, argv):
+        status = main(argv)
+        out, err = capsys.readouterr()
+        return status, out, err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", ECHO, "--script", "{0},{1},{2},{3}"],
+        ["run", ECHO, "--mode", "small", "--json", "--script", "{0},{1}"],
+        ["run", ECHO, "--emit", "summary", "--script", "{0},{0},{1}"],
+        ["compare", ECHO, "--script", "{0},{1}"],
+        ["run", COUNTER, "--init", "x={1}"],
+        ["run", ECHO, "--init", "x={2}", "--script", "{0},{3}"],
+        ["bisim", "{a}", "{b}", "--sample", "{0},{3}"],
+        ["responsive", "{s}", "--sample={2},{3}"],
+    ], ids=["script", "script-json", "summary", "compare", "init", "init-script",
+            "bisim-sample", "responsive-sample"])
+    def test_a_value_past_64_bits_prints_as_its_wrapped_value(self, capsys, tmp_path,
+                                                              argv):
+        files = {}
+        for key, src in (("a", READ7), ("b", IS7), ("s", STALL7)):
+            files[key] = tmp_path / f"{key}.whl"
+            files[key].write_text(src + "\n")
+        narrow, wide = ([a.format(*vals, **files) for a in argv] for vals in zip(*WIDE))
+        assert narrow != wide
+        want = self.cli(capsys, narrow)
+        assert self.cli(capsys, wide) == want
+        assert want[0] in (0, 3, 4), want
+
+    def test_an_interactive_value_past_64_bits_prints_as_its_wrapped_value(
+            self, capsys, monkeypatch):
+        got = []
+        for lines in ("0\n7\n", f"{2**64}\n{7 + 3 * 2**64}\n"):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(lines))
+            got.append(self.cli(capsys, ["run", ECHO, "--interactive"]))
+        assert got[0] == got[1]
+        assert got[0][:2] == (0, "in 0\ndelay\nout 0\nin 7\ndelay\nret {x=7}\n")

@@ -286,6 +286,31 @@ class TestPretty:
             stmt2, names2 = parse(text)
             assert pretty(stmt2, names2) == text
 
+    def test_nested_repeats_print_in_linear_size(self):
+        # the parser shares the body s of repeat s until b between its two
+        # places in s ; while not b do s od, and the printer prints that
+        # shape as a repeat, so each body is printed once, not 2^depth times
+        src = "repeat " * 24 + "x := x + 1" + "".join(f" until x = {i}" for i in range(24))
+        stmt, names = parse(src)
+        assert pretty(stmt, names) == src
+        assert pretty(*parse(pretty(stmt, names))) == src
+        # == walks both places of a shared body, so trees are compared small
+        src = "repeat " * 10 + "x := x + 1" + "".join(f" until x = {i}" for i in range(10))
+        stmt, names = parse(src)
+        assert parse(pretty(stmt, names))[0] == stmt
+
+    def test_an_unshared_repeat_shape_prints_as_written(self):
+        # only the parser's own sharing is printed as a repeat: equal but
+        # distinct bodies, or a guard that is not a not, print as a sequence
+        names = NameTable(["x"])
+        body = Assign(0, NumLit(1))
+        guard = Eq(VarRef(0), NumLit(1))
+        assert pretty(Seq(body, While(Not(guard), body)), names) == "repeat x := 1 until x = 1"
+        assert pretty(Seq(body, While(Not(guard), Assign(0, NumLit(1)))), names) == (
+            "x := 1 ; while not x = 1 do x := 1 od")
+        assert pretty(Seq(body, While(guard, body)), names) == (
+            "x := 1 ; while x = 1 do x := 1 od")
+
     def test_long_seq_chain_round_trips(self):
         # parser and printer loop over ';' instead of recursing per statement
         text = " ; ".join(f"x := {i}" for i in range(5000))

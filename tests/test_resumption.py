@@ -341,6 +341,27 @@ class TestDriver:
         log = run_events(r, [2**64 + 5], 10)
         assert log == [("in", 5), ("out", 5), ("ret", State({0: 5}))]
 
+    def test_a_stepped_input_is_read_as_drive_reads_it(self):
+        # the continuation of an input from step() wraps its value where it
+        # is called, so 2**64 is echoed as 0, as drive shows it
+        r = echo(EMPTY).step()[1](2**64)
+        obs = r.step()
+        assert obs[0] == "delay"
+        obs = obs[1].step()
+        assert obs[:2] == ("out", 0)
+        assert obs[2].step()[0] == "in"
+        assert run_events(echo(EMPTY), [2**64], 4) == [
+            ("in", 0), ("delay",), ("out", 0), ("input-exhausted",)]
+
+    @pytest.mark.parametrize("interp", [eval_res, norm_res])
+    def test_a_stepped_input_must_be_an_int(self, interp):
+        k = interp(ast("input x ; output x"), EMPTY).step()[1]
+        # refused at the call, not one step later
+        with pytest.raises(TypeError):
+            k(1.5)
+        r = k(2**64 + 5)
+        assert step_events(r, [], 10) == [("out", 5), ("ret", State({0: 5}))]
+
     def test_input_exhaustion_is_terminal_not_an_error(self):
         log = run_events(eval_res(ast("input x ; input y"), EMPTY), [3], 32)
         assert log == [("in", 3), ("input-exhausted",)]
